@@ -16,6 +16,10 @@ machine-readable ``BENCH_serve.json`` at the repo root:
 * **batching** — the micro-batcher's acceptance criterion: decide
   throughput with ``max_batch=8`` must be at least 2x the
   ``max_batch=1`` throughput under 8 concurrent clients.
+* **decide_path** — the decide path with no competing load: serial
+  decide p50 against the daemon (one client, back-to-back 16-row
+  windows) and in-process 16-row ``predict_proba`` on the served
+  forest.
 
 Run standalone::
 
@@ -23,8 +27,11 @@ Run standalone::
 
 ``--smoke`` is the CI mode: a small corpus, a short mixed load, a
 generous p99 budget, response bit-identity against direct in-process
-:class:`~repro.core.adaptive_cpu.AdaptiveCPU` calls, and the
-``BENCH_serve.json`` staleness guard — exits non-zero on any failure.
+:class:`~repro.core.adaptive_cpu.AdaptiveCPU` calls, the decide-path
+guards (serial decide p50 <= 2 ms, 16-row ``predict_proba`` <= 250 µs,
+about twice the values measured on a 2-vCPU host so a shared CI host
+does not flake) and the ``BENCH_serve.json`` staleness guard — exits
+non-zero on any failure.
 
 ``--chaos-smoke`` is the resilience CI mode, writing the
 ``resilience`` section: a deterministic serve-fault plan (conn_drop,
@@ -57,6 +64,11 @@ from repro.uarch.modes import Mode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: Smoke-mode decide-path bounds: about twice the values measured on a
+#: 2-vCPU host, so a shared CI host does not flake.
+DECIDE_P50_BUDGET_MS = 2.0
+PREDICT_16ROW_BUDGET_US = 250.0
+
 #: The keys every ``BENCH_serve.json`` section must carry, exactly —
 #: the same staleness contract ``BENCH_perf.json`` enforces: when a
 #: recorded section's keys diverge from this table the file predates
@@ -75,7 +87,10 @@ SECTION_KEYS: dict[str, frozenset] = {
     "batching": frozenset({
         "clients", "requests_per_client", "batch1_throughput_rps",
         "batch8_throughput_rps", "speedup", "batch1_mean",
-        "batch8_mean"}),
+        "batch8_mean", "trials", "cpus_visible"}),
+    "decide_path": frozenset({
+        "requests", "serial_decide_p50_ms", "predict_16row_us",
+        "cpus_visible"}),
     "resilience": frozenset({
         "chaos_requests", "injected", "watchdog_trips",
         "breaker_trips", "dedup_hits", "crash_requests", "restarts",
@@ -305,18 +320,47 @@ def bench_open_loop(server: AdaptationServer, rate_rps: float,
     }
 
 
+def bench_decide_path(server: AdaptationServer, requests: int) -> dict:
+    """Serial decide latency and in-process 16-row predict cost."""
+    window = _decide_window(server)
+    latencies = []
+    with ServeClient(server.address) as client:
+        client.decide(Mode.LOW_POWER.value, window)  # warm
+        for _ in range(requests):
+            start = time.perf_counter()
+            client.decide(Mode.LOW_POWER.value, window)
+            latencies.append(time.perf_counter() - start)
+    x = np.asarray(window, dtype=np.float64)
+    predict_s = []
+    for i in range(requests):
+        mode = (Mode.LOW_POWER, Mode.HIGH_PERF)[i % 2]
+        start = time.perf_counter()
+        server.cpu.predictor.predict_proba(x, mode)
+        predict_s.append(time.perf_counter() - start)
+    p50 = _pctl(latencies, 50)
+    predict_us = float(np.median(predict_s) * 1e6)
+    print(f"decide path: serial decide p50 {p50:.2f}ms, 16-row "
+          f"predict_proba {predict_us:.0f}us")
+    return {
+        "requests": requests,
+        "serial_decide_p50_ms": round(p50, 3),
+        "predict_16row_us": round(predict_us, 1),
+        "cpus_visible": os.cpu_count(),
+    }
+
+
 def bench_batching(corpus: dict, clients: int,
-                   requests_per_client: int) -> dict:
+                   requests_per_client: int, trials: int = 3) -> dict:
     """Decide throughput, ``max_batch=8`` vs ``max_batch=1``.
 
     Same daemon configuration, same offered concurrency; the only
-    difference is whether the micro-batcher may coalesce. Batch-size
-    means come from METRICS histogram deltas (the registry is
-    process-global, so absolute values would mix trials).
+    difference is whether the micro-batcher may coalesce. Each figure
+    is the median over ``trials`` daemons. Batch-size means come from
+    METRICS histogram deltas (the registry is process-global, so
+    absolute values would mix trials).
     """
     def trial(max_batch: int) -> tuple[float, float]:
-        server = _start("forest", corpus, max_batch=max_batch,
-                        max_wait_us=2000)
+        server = _start("forest", corpus, max_batch=max_batch)
         window = _decide_window(server)
         with ServeClient(server.address) as c:
             c.decide(Mode.LOW_POWER.value, window)  # warm
@@ -343,8 +387,10 @@ def bench_batching(corpus: dict, clients: int,
         _stop(server)
         return clients * requests_per_client / wall, mean
 
-    tput1, mean1 = trial(1)
-    tput8, mean8 = trial(8)
+    tput1, mean1 = (float(np.median(v)) for v in
+                    zip(*(trial(1) for _ in range(trials))))
+    tput8, mean8 = (float(np.median(v)) for v in
+                    zip(*(trial(8) for _ in range(trials))))
     speedup = tput1 and tput8 / tput1
     print(f"batching: batch=1 {tput1:.0f} rps, batch=8 {tput8:.0f} rps "
           f"({speedup:.2f}x, mean batch {mean8:.2f})")
@@ -356,6 +402,8 @@ def bench_batching(corpus: dict, clients: int,
         "speedup": round(speedup, 3),
         "batch1_mean": round(mean1, 3),
         "batch8_mean": round(mean8, 3),
+        "trials": trials,
+        "cpus_visible": os.cpu_count(),
     }
 
 
@@ -607,6 +655,8 @@ def run_full(args: argparse.Namespace) -> int:
             server, clients=8, requests_per_client=40)
         sections["open_loop"] = bench_open_loop(
             server, rate_rps=150.0, duration_s=4.0)
+        sections["decide_path"] = bench_decide_path(server,
+                                                    requests=200)
     finally:
         _stop(server)
     sections["batching"] = bench_batching(
@@ -653,6 +703,17 @@ def run_smoke(args: argparse.Namespace) -> int:
                 print(f"FAIL: {key} {closed[key]}ms exceeds the "
                       f"{budget_ms}ms smoke budget")
                 return 1
+        path = bench_decide_path(server, requests=100)
+        if path["serial_decide_p50_ms"] > DECIDE_P50_BUDGET_MS:
+            print(f"FAIL: serial decide p50 "
+                  f"{path['serial_decide_p50_ms']}ms exceeds the "
+                  f"{DECIDE_P50_BUDGET_MS}ms budget")
+            return 1
+        if path["predict_16row_us"] > PREDICT_16ROW_BUDGET_US:
+            print(f"FAIL: 16-row predict_proba "
+                  f"{path['predict_16row_us']}us exceeds the "
+                  f"{PREDICT_16ROW_BUDGET_US}us budget")
+            return 1
     finally:
         _stop(server)
     import multiprocessing

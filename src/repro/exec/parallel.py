@@ -50,9 +50,10 @@ Design points:
   typed :class:`~repro.errors.WorkerTimeoutError` — because a hang
   would also hang the serial rung. Genuine task errors (a
   ``DatasetError`` raised by the worker function) propagate unchanged
-  and are never retried. Maps that run *inside* a process-pool worker
-  always resolve to serial, so nested fan-outs (model training inside
-  a hyperscreen cell) cannot recursively spawn pools. The
+  and are never retried. Maps that run *inside* a pool worker (process
+  or thread) always resolve to serial, so nested fan-outs (model
+  training inside a hyperscreen cell) cannot recursively spawn pools
+  or wait on their own pool. The
   :mod:`repro.exec.faults` layer can inject every one of these
   failures deterministically (``REPRO_FAULT_SPEC``).
 
@@ -149,6 +150,16 @@ def _pool_worker_init() -> None:
     _IN_WORKER = True
 
 
+#: Set in thread-pool workers (via the pool initializer). Maps started
+#: on a pool thread stay serial too: otherwise every worker of a shared
+#: persistent pool can block on subtasks queued behind it.
+_POOL_THREAD = threading.local()
+
+
+def _pool_thread_init() -> None:
+    _POOL_THREAD.active = True
+
+
 # ---------------------------------------------------------------------
 # Persistent pools.
 # ---------------------------------------------------------------------
@@ -174,7 +185,7 @@ def _get_pool(backend: str,
         start = time.perf_counter()
         if backend == "thread":
             pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=n_workers)
+                max_workers=n_workers, initializer=_pool_thread_init)
         else:
             pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=n_workers, initializer=_pool_worker_init)
@@ -393,7 +404,7 @@ class ParallelMap:
         the first item serially, times it, and finishes with
         :meth:`_decide_from_probe`.
         """
-        if _IN_WORKER:
+        if _IN_WORKER or getattr(_POOL_THREAD, "active", False):
             return "serial"
         if self.backend != "auto":
             return self.backend
@@ -429,7 +440,7 @@ class ParallelMap:
         METRICS.gauge_add("parallel.pools_open", 1)
         if backend == "thread":
             return concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.n_workers)
+                max_workers=self.n_workers, initializer=_pool_thread_init)
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.n_workers, initializer=_pool_worker_init)
 

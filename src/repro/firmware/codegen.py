@@ -16,7 +16,7 @@ microcontroller assembly:
 Random-forest trees are padded to full depth with trivial comparisons,
 exactly as the paper does to equalise prediction cost, which also
 yields its 5-bytes-per-node footprint (1-byte feature index + 4-byte
-threshold).
+threshold). The image packs the host's :class:`~repro.ml.tree.ForestTable`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LogisticRegression
 from repro.ml.mlp import MLPClassifier
 from repro.ml.svm import KernelSVM, LinearSVM
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, ForestTable
 
 #: Ops per multiply-accumulate (fld + fmul + fadd, Listing 1).
 MAC_OPS = 3
@@ -123,45 +123,19 @@ def compile_mlp(model: MLPClassifier) -> FirmwareProgram:
 # ----------------------------------------------------------------------
 # Decision trees / random forests
 # ----------------------------------------------------------------------
-def _full_tree_arrays(tree: DecisionTreeClassifier, depth: int,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad a CART tree to a full binary tree of ``depth`` levels.
+def forest_ops(n_trees: int, depth: int) -> int:
+    """Analytic random-forest (or, with one tree, tree) inference cost."""
+    return (n_trees * (depth * TREE_LEVEL_OPS + TREE_EPILOGUE_OPS)
+            + FOREST_OVERHEAD_OPS)
 
-    Returns (features uint8, thresholds float32, leaf values uint8) in
-    heap order: internal node ``i`` has children ``2i+1``/``2i+2``.
-    Early leaves become trivial always-left comparisons whose entire
-    subtree carries the leaf's value — the paper's cost-equalising
-    trick.
-    """
-    assert (tree.feature_ is not None and tree.threshold_ is not None
-            and tree.left_ is not None and tree.right_ is not None
-            and tree.value_ is not None)
-    n_internal = (1 << depth) - 1
-    n_leaves = 1 << depth
-    features = np.zeros(n_internal, dtype=np.uint8)
-    thresholds = np.full(n_internal, np.float32(np.finfo(np.float32).max),
-                         dtype=np.float32)
-    leaves = np.zeros(n_leaves, dtype=np.uint8)
 
-    def fill(node: int, heap: int, level: int) -> None:
-        is_leaf = node < 0 or tree.feature_[node] < 0
-        if level == depth:
-            value = tree.value_[node] if node >= 0 else 0.0
-            leaves[heap - n_internal] = np.uint8(round(value * 255))
-            return
-        if is_leaf:
-            # Trivial comparison: feature 0 against +inf, always left;
-            # both subtrees inherit the leaf value.
-            fill(node, 2 * heap + 1, level + 1)
-            fill(node, 2 * heap + 2, level + 1)
-            return
-        features[heap] = np.uint8(tree.feature_[node])
-        thresholds[heap] = np.float32(tree.threshold_[node])
-        fill(int(tree.left_[node]), 2 * heap + 1, level + 1)
-        fill(int(tree.right_[node]), 2 * heap + 2, level + 1)
-
-    fill(0, 0, 0)
-    return features, thresholds, leaves
+def _table_image(table: ForestTable) -> bytes:
+    """Pack a heap table: per tree, uint8 features, float32 thresholds
+    and leaf probabilities quantised to uint8 (x255, round half even)."""
+    return np.concatenate(
+        [table.features.astype(np.uint8),
+         table.thresholds.astype("<f4").view(np.uint8),
+         np.rint(table.leaves * 255).astype(np.uint8)], axis=1).tobytes()
 
 
 def compile_tree(tree: DecisionTreeClassifier,
@@ -170,16 +144,13 @@ def compile_tree(tree: DecisionTreeClassifier,
     if tree.feature_ is None:
         raise NotFittedError("tree must be fitted before compilation")
     depth = depth or tree.max_depth
-    features, thresholds, leaves = _full_tree_arrays(tree, depth)
     header = struct.pack("<II", depth, tree.n_features_ or 0)
-    image = (header + features.tobytes() + thresholds.tobytes()
-             + leaves.tobytes())
-    ops = depth * TREE_LEVEL_OPS + TREE_EPILOGUE_OPS + FOREST_OVERHEAD_OPS
+    image = header + _table_image(ForestTable.from_trees([tree], depth))
     n_nodes = (1 << (depth + 1)) - 1
     return FirmwareProgram(
         kind="tree",
         image=image,
-        ops_per_prediction=ops,
+        ops_per_prediction=forest_ops(1, depth),
         n_inputs=tree.n_features_ or 0,
         metadata={"depth": depth,
                   "threshold": tree.decision_threshold,
@@ -188,26 +159,21 @@ def compile_tree(tree: DecisionTreeClassifier,
 
 
 def compile_forest(forest: RandomForestClassifier) -> FirmwareProgram:
-    """Compile a random forest: concatenated full trees plus a vote."""
+    """Compile a random forest: its heap table plus a vote."""
     if forest.trees_ is None:
         raise NotFittedError("forest must be fitted before compilation")
-    depth = forest.max_depth
+    table = forest.table
+    depth = table.depth
     n_features = forest.trees_[0].n_features_ or 0
-    header = struct.pack("<III", len(forest.trees_), depth, n_features)
-    body = b""
-    for tree in forest.trees_:
-        features, thresholds, leaves = _full_tree_arrays(tree, depth)
-        body += features.tobytes() + thresholds.tobytes() + leaves.tobytes()
-    ops = (len(forest.trees_) * (depth * TREE_LEVEL_OPS
-                                 + TREE_EPILOGUE_OPS)
-           + FOREST_OVERHEAD_OPS)
-    n_nodes = len(forest.trees_) * ((1 << (depth + 1)) - 1)
+    n_trees = len(forest.trees_)
+    header = struct.pack("<III", n_trees, depth, n_features)
+    n_nodes = n_trees * ((1 << (depth + 1)) - 1)
     return FirmwareProgram(
         kind="forest",
-        image=header + body,
-        ops_per_prediction=ops,
+        image=header + _table_image(table),
+        ops_per_prediction=forest_ops(n_trees, depth),
         n_inputs=n_features,
-        metadata={"n_trees": len(forest.trees_), "depth": depth,
+        metadata={"n_trees": n_trees, "depth": depth,
                   "threshold": forest.decision_threshold,
                   "paper_footprint_bytes": 5 * n_nodes},
     )

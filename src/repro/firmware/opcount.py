@@ -11,7 +11,9 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import BudgetExceededError
-from repro.firmware.codegen import FirmwareProgram, compile_model
+# forest_ops lives beside the op costs it sums; re-exported from here.
+from repro.firmware.codegen import (FirmwareProgram, compile_model,
+                                    forest_ops)
 from repro.firmware.ucontroller import Microcontroller
 from repro.ml.base import Estimator
 
@@ -67,10 +69,3 @@ def mlp_ops(layer_sizes: list[int]) -> int:
     hidden = sum(layer_sizes[1:-1])
     return codegen.MAC_OPS * macs + codegen.RELU_OPS * hidden
 
-
-def forest_ops(n_trees: int, depth: int) -> int:
-    """Analytic random-forest inference cost."""
-    from repro.firmware import codegen
-    return (n_trees * (depth * codegen.TREE_LEVEL_OPS
-                       + codegen.TREE_EPILOGUE_OPS)
-            + codegen.FOREST_OVERHEAD_OPS)

@@ -5,7 +5,8 @@ images with float32 arithmetic — the microcontroller supports scalar
 integer and floating point only — and meters executed operations using
 the same per-primitive costs the compiler charges, so measured cost
 equals the static ``ops_per_prediction``. Outputs match the host numpy
-models to float32 tolerance; a parity test guards this.
+models to float32 tolerance; a parity test guards this. Trees and
+forests run the host's :class:`~repro.ml.tree.ForestTable` walk.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.firmware import codegen
 from repro.firmware.codegen import FirmwareProgram
+from repro.ml.tree import ForestTable
 
 _F32 = np.float32
 
@@ -30,6 +32,20 @@ def _sigmoid32(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos], dtype=_F32)
     out[~pos] = ez / (_F32(1.0) + ez)
     return out
+
+
+def _run_heaps(buf: bytes, offset: int, n_trees: int, depth: int,
+               x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Walk a packed heap table through its quantised view: uint8
+    features, float32 thresholds and leaf probabilities uint8 / 255."""
+    n_internal = (1 << depth) - 1
+    rows = np.frombuffer(buf, np.uint8, n_trees * (6 * n_internal + 1),
+                         offset).reshape(n_trees, -1)
+    table = ForestTable(
+        depth, rows[:, :n_internal].astype(np.intp),
+        np.ascontiguousarray(rows[:, n_internal:5 * n_internal]).view("<f4"),
+        rows[:, 5 * n_internal:].astype(_F32) / _F32(255.0))
+    return table.predict_proba(x), codegen.forest_ops(n_trees, depth)
 
 
 @dataclasses.dataclass
@@ -97,50 +113,13 @@ class FirmwareVM:
 
     def _run_forest(self, program: FirmwareProgram, x: np.ndarray,
                     ) -> tuple[np.ndarray, int]:
-        buf = program.image
-        n_trees, depth, n_features = struct.unpack_from("<III", buf, 0)
-        offset = 12
-        n_internal = (1 << depth) - 1
-        n_leaves = 1 << depth
-        votes = np.zeros(x.shape[0], dtype=_F32)
-        for _ in range(n_trees):
-            features = np.frombuffer(buf, np.uint8, n_internal, offset)
-            offset += n_internal
-            thresholds = np.frombuffer(buf, "<f4", n_internal, offset)
-            offset += 4 * n_internal
-            leaves = np.frombuffer(buf, np.uint8, n_leaves, offset)
-            offset += n_leaves
-            idx = np.zeros(x.shape[0], dtype=np.int64)
-            for _level in range(depth):
-                go_right = x[np.arange(x.shape[0]),
-                             features[idx]] > thresholds[idx]
-                idx = 2 * idx + 1 + go_right
-            votes += leaves[idx - n_internal].astype(_F32) / _F32(255.0)
-        ops = (n_trees * (depth * codegen.TREE_LEVEL_OPS
-                          + codegen.TREE_EPILOGUE_OPS)
-               + codegen.FOREST_OVERHEAD_OPS)
-        return votes / _F32(n_trees), ops
+        n_trees, depth, _ = struct.unpack_from("<III", program.image, 0)
+        return _run_heaps(program.image, 12, n_trees, depth, x)
 
     def _run_tree(self, program: FirmwareProgram, x: np.ndarray,
                   ) -> tuple[np.ndarray, int]:
-        buf = program.image
-        depth, n_features = struct.unpack_from("<II", buf, 0)
-        offset = 8
-        n_internal = (1 << depth) - 1
-        features = np.frombuffer(buf, np.uint8, n_internal, offset)
-        offset += n_internal
-        thresholds = np.frombuffer(buf, "<f4", n_internal, offset)
-        offset += 4 * n_internal
-        leaves = np.frombuffer(buf, np.uint8, 1 << depth, offset)
-        idx = np.zeros(x.shape[0], dtype=np.int64)
-        for _level in range(depth):
-            go_right = x[np.arange(x.shape[0]),
-                         features[idx]] > thresholds[idx]
-            idx = 2 * idx + 1 + go_right
-        probs = leaves[idx - n_internal].astype(_F32) / _F32(255.0)
-        ops = (depth * codegen.TREE_LEVEL_OPS + codegen.TREE_EPILOGUE_OPS
-               + codegen.FOREST_OVERHEAD_OPS)
-        return probs, ops
+        depth, _ = struct.unpack_from("<II", program.image, 0)
+        return _run_heaps(program.image, 8, 1, depth, x)
 
     def _run_logistic(self, program: FirmwareProgram, x: np.ndarray,
                       ) -> tuple[np.ndarray, int]:

@@ -6,6 +6,8 @@ The paper's Best RF is 8 trees of max depth 8 over the 12 PF counters
 built by *merging* two half-forests — one trained on the high-diversity
 corpus, one on the target application — which :func:`merge_forests`
 implements.
+
+Prediction walks one :class:`~repro.ml.tree.ForestTable` per forest.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.exec.arena import TraceArena
 from repro.exec.parallel import default_parallel_map
 from repro.exec.stats import EXEC_STATS
 from repro.ml.base import Estimator, check_xy
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, ForestTable
 
 
 def _fit_tree_task(task: tuple[np.ndarray, int], *, x: np.ndarray,
@@ -71,6 +73,7 @@ class RandomForestClassifier(Estimator):
         self.seed = seed
         self.decision_threshold = 0.5
         self.trees_: list[DecisionTreeClassifier] | None = None
+        self.table_: ForestTable | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         """Grow the ensemble; tree fits fan out through the exec engine.
@@ -129,16 +132,23 @@ class RandomForestClassifier(Estimator):
                                   min_samples_leaf=self.min_samples_leaf,
                                   max_features=self.max_features),
                 list(zip(idx_all, seeds)), stage="forest_fit")
+        self.table_ = ForestTable.from_trees(self.trees_, self.max_depth)
         return self
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def table(self) -> ForestTable:
+        """The heap table; built here for forests unpickled without one."""
         self._require_fitted("trees_")
         assert self.trees_ is not None
+        if getattr(self, "table_", None) is None:
+            self.table_ = ForestTable.from_trees(self.trees_,
+                                                 self.max_depth)
+        return self.table_
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        table = self.table
         x, _ = check_xy(x)
-        votes = np.zeros(x.shape[0])
-        for tree in self.trees_:
-            votes += tree.predict_proba(x)
-        return votes / len(self.trees_)
+        return table.predict_proba(x)
 
     # ------------------------------------------------------------------
     @property
@@ -171,6 +181,7 @@ def merge_forests(first: RandomForestClassifier,
         seed=first.seed,
     )
     merged.trees_ = [*first.trees_, *second.trees_]
+    merged.table_ = ForestTable.from_trees(merged.trees_, merged.max_depth)
     merged.decision_threshold = 0.5 * (first.decision_threshold
                                        + second.decision_threshold)
     return merged

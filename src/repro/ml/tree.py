@@ -8,9 +8,11 @@ feature using sorted prefix sums (vectorised in numpy), entropy
 criterion, recursive growth to a depth cap.
 
 The fitted tree is stored as flat arrays (feature, threshold, children,
-leaf probability), which both makes batched prediction fast and maps
-directly onto the firmware compiler's node layout
-(:mod:`repro.firmware.codegen`).
+leaf probability). Prediction walks a :class:`ForestTable` instead:
+every tree padded to a full heap of one depth, as the paper's firmware
+does to equalise prediction cost (Section 6.3, Listing 2), and stacked.
+Trees, forests, the firmware compiler (which packs the table) and the
+firmware VM (which walks the packed image) share that one walk.
 """
 
 from __future__ import annotations
@@ -29,6 +31,90 @@ def entropy(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     total = np.maximum(total, 1e-12)
     p = np.clip(pos / total, 1e-12, 1.0 - 1e-12)
     return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
+#: Threshold of a padding node (feature 0), exact in the firmware
+#: image's float32. Both subtrees of a padding node carry one leaf, so
+#: the comparison's outcome never matters.
+PAD_THRESHOLD = float(np.finfo(np.float32).max)
+
+
+def _full_heap(tree: DecisionTreeClassifier, depth: int,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad a fitted tree to a full heap of ``depth`` levels: (features,
+    thresholds, leaf values), node ``i``'s children at ``2i+1``/``2i+2``.
+    Per level, each CART node maps to its children and an early leaf to
+    itself twice, so its whole padded subtree carries its value."""
+    features = np.zeros((1 << depth) - 1, dtype=np.intp)
+    thresholds = np.full((1 << depth) - 1, PAD_THRESHOLD)
+    nodes = np.zeros(1, dtype=np.intp)
+    for level in range(depth):
+        heap = slice((1 << level) - 1, (2 << level) - 1)
+        split = tree.feature_[nodes] >= 0
+        features[heap] = np.where(split, tree.feature_[nodes], 0)
+        thresholds[heap] = np.where(split, tree.threshold_[nodes],
+                                    PAD_THRESHOLD)
+        nodes = np.stack([np.where(split, tree.left_[nodes], nodes),
+                          np.where(split, tree.right_[nodes], nodes)],
+                         axis=1).ravel()
+    if np.any(tree.feature_[nodes] >= 0):
+        raise ConfigurationError(
+            f"tree is deeper than the {depth}-level table it is padded to"
+        )
+    return features, thresholds, tree.value_[nodes]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ForestTable:
+    """Every tree of an ensemble as one stack of full, equal-depth heaps.
+
+    ``features``/``thresholds`` are ``(T, 2^depth - 1)`` and ``leaves``
+    ``(T, 2^depth)``, in heap order. Host tables hold float64; the
+    firmware VM's hold an image's float32 thresholds and leaves / 255.
+    """
+
+    depth: int
+    features: np.ndarray
+    thresholds: np.ndarray
+    leaves: np.ndarray
+
+    @classmethod
+    def from_trees(cls, trees: list[DecisionTreeClassifier],
+                   depth: int) -> ForestTable:
+        """Stack fitted trees, each padded to ``depth`` levels."""
+        heaps = [_full_heap(tree, depth) for tree in trees]
+        return cls(depth, *(np.stack(arrays) for arrays in zip(*heaps)))
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Mean tree vote per row.
+
+        All trees × rows advance one level per step, going right on
+        ``x > threshold`` (a NaN, which only the VM admits, goes left).
+        ``np.add.accumulate`` sums votes in tree order, as a loop would.
+        """
+        n_trees, n_internal = self.features.shape
+        n_rows, n_cols = x.shape
+        flat_x = np.ravel(x)
+        features = self.features.ravel()
+        thresholds = self.thresholds.ravel()
+        # One lane per (tree, row), tree-major. Heap node i of tree t
+        # is node t * n_internal + i; its children are
+        # 2 * node + (1 - t * n_internal) + {0, 1}.
+        tree = np.repeat(np.arange(n_trees), n_rows)
+        row = np.tile(np.arange(n_rows) * n_cols, n_trees)
+        node = tree * n_internal
+        child = 1 - node
+        for _level in range(self.depth):
+            col = np.take(features, node)
+            col += row
+            go_right = np.take(flat_x, col) > np.take(thresholds, node)
+            node *= 2
+            node += child
+            node += go_right
+        # Leaf i of tree t sits at t * (n_internal + 1) + i - n_internal.
+        votes = np.take(self.leaves.ravel(), node + tree - n_internal)
+        votes = np.add.accumulate(votes.reshape(n_trees, n_rows))[-1]
+        return votes / votes.dtype.type(n_trees)
 
 
 @dataclasses.dataclass
@@ -168,21 +254,12 @@ class DecisionTreeClassifier(Estimator):
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Walk a one-tree :class:`ForestTable` (built per call: a
+        forest's trees are never walked on their own)."""
         self._require_fitted("feature_")
-        assert (self.feature_ is not None and self.threshold_ is not None
-                and self.left_ is not None and self.right_ is not None
-                and self.value_ is not None)
         x, _ = check_xy(x)
-        nodes = np.zeros(x.shape[0], dtype=np.int64)
-        active = self.feature_[nodes] >= 0
-        while active.any():
-            cur = nodes[active]
-            feat = self.feature_[cur]
-            go_left = x[active, feat] <= self.threshold_[cur]
-            nodes[active] = np.where(go_left, self.left_[cur],
-                                     self.right_[cur])
-            active = self.feature_[nodes] >= 0
-        return self.value_[nodes]
+        return ForestTable.from_trees([self], self.max_depth
+                                      ).predict_proba(x)
 
     # ------------------------------------------------------------------
     @property

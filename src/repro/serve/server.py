@@ -225,7 +225,6 @@ class AdaptationServer:
     def __init__(self, cpu: AdaptiveCPU, traces: list[TraceSpec],
                  address: str | tuple[str, int],
                  max_batch: int | None = None,
-                 max_wait_us: int | None = None,
                  queue_bound: int | None = None,
                  batch_timeout_s: float | None = None,
                  breaker_threshold: int | None = None,
@@ -246,8 +245,6 @@ class AdaptationServer:
         self.address = address
         self.max_batch = (max_batch if max_batch is not None
                           else config.serve_batch_max)
-        self.max_wait_us = (max_wait_us if max_wait_us is not None
-                            else config.serve_batch_wait_us)
         self.queue_bound = (queue_bound if queue_bound is not None
                             else config.serve_queue_bound)
         self.batch_timeout_s = (
@@ -270,8 +267,7 @@ class AdaptationServer:
         self._executors = {"adapt": self._execute_adapt,
                            "decide": self._execute_decide}
         self._batchers = {
-            op: MicroBatcher(executor, self.max_batch,
-                             self.max_wait_us, self.queue_bound,
+            op: MicroBatcher(executor, self.max_batch, self.queue_bound,
                              ledger=self.ledger, name=op)
             for op, executor in self._executors.items()
         }
@@ -827,7 +823,6 @@ class AdaptationServer:
             "predictor": self.cpu.predictor.name,
             "n_counters": int(len(self.cpu.predictor.counter_ids)),
             "max_batch": self.max_batch,
-            "max_wait_us": self.max_wait_us,
             "queue_bound": self.queue_bound,
             "queue_depth": {op: b.depth()
                             for op, b in self._batchers.items()},

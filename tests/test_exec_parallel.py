@@ -6,10 +6,14 @@ asserts exact equality, never approximate.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import MachineConfig, interval_lru_size
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
@@ -141,6 +145,27 @@ class TestParallelMap:
         snap = EXEC_STATS.snapshot()
         assert "unit_stage" in snap["stages"]
         assert snap["counters"]["unit_stage.items"] >= 4
+
+    def test_nested_thread_map_does_not_deadlock(self):
+        """A thread-pool task that starts its own map on the same
+        persistent pool must run it serially instead of waiting on
+        subtasks queued behind it. Runs in a child process so a
+        regression fails on the timeout instead of hanging the suite."""
+        code = textwrap.dedent("""
+            from repro.exec import ParallelMap
+            def inner(i):
+                return i * i
+            def outer(i):
+                return sum(ParallelMap("thread", 2).map(inner, range(i + 4)))
+            print(ParallelMap("thread", 2).map(outer, range(6)))
+        """)
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        expected = [sum(j * j for j in range(i + 4)) for i in range(6)]
+        assert done.stdout.strip() == str(expected)
 
 
 class TestParallelEquivalence:

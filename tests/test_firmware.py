@@ -1,7 +1,11 @@
 """Tests for firmware compilation, the VM, budgets and deployment."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import rng as rng_mod
 from repro.errors import BudgetExceededError, ConfigurationError, NotFittedError
@@ -28,6 +32,7 @@ from repro.ml import (
     LogisticRegression,
     MLPClassifier,
     RandomForestClassifier,
+    merge_forests,
 )
 
 
@@ -190,6 +195,167 @@ class TestCompileAndVM:
         assert report.memory_bytes > 0
         # Paper accounting: 5 bytes/node on full trees = 20.44 KB.
         assert report.paper_footprint_bytes == pytest.approx(20_440)
+
+
+def _reference_heap(tree, depth):
+    """Recursive padding of one tree to a full heap (uint8 features,
+    float32 thresholds, uint8 leaves): the packer the table replaces."""
+    n_internal = (1 << depth) - 1
+    features = np.zeros(n_internal, dtype=np.uint8)
+    thresholds = np.full(n_internal, np.finfo(np.float32).max,
+                         dtype=np.float32)
+    leaves = np.zeros(1 << depth, dtype=np.uint8)
+
+    def fill(node, heap, level):
+        if level == depth:
+            leaves[heap - n_internal] = np.uint8(
+                round(tree.value_[node] * 255))
+            return
+        if tree.feature_[node] < 0:
+            fill(node, 2 * heap + 1, level + 1)
+            fill(node, 2 * heap + 2, level + 1)
+            return
+        features[heap] = np.uint8(tree.feature_[node])
+        thresholds[heap] = np.float32(tree.threshold_[node])
+        fill(int(tree.left_[node]), 2 * heap + 1, level + 1)
+        fill(int(tree.right_[node]), 2 * heap + 2, level + 1)
+
+    fill(0, 0, 0)
+    return features, thresholds, leaves
+
+
+def _reference_forest_image(forest):
+    depth = forest.max_depth
+    body = b"".join(b"".join(a.tobytes() for a in _reference_heap(t, depth))
+                    for t in forest.trees_)
+    return struct.pack("<III", len(forest.trees_), depth,
+                       forest.trees_[0].n_features_) + body
+
+
+def _reference_vm_forest(image, x):
+    """Per-tree float32 walk over a forest image (the VM's old loop)."""
+    n_trees, depth, _ = struct.unpack_from("<III", image, 0)
+    offset, n_internal = 12, (1 << depth) - 1
+    votes = np.zeros(x.shape[0], dtype=np.float32)
+    for _ in range(n_trees):
+        features = np.frombuffer(image, np.uint8, n_internal, offset)
+        offset += n_internal
+        thresholds = np.frombuffer(image, "<f4", n_internal, offset)
+        offset += 4 * n_internal
+        leaves = np.frombuffer(image, np.uint8, n_internal + 1, offset)
+        offset += n_internal + 1
+        idx = np.zeros(x.shape[0], dtype=np.int64)
+        for _level in range(depth):
+            go_right = x[np.arange(x.shape[0]),
+                         features[idx]] > thresholds[idx]
+            idx = 2 * idx + 1 + go_right
+        votes += (leaves[idx - n_internal].astype(np.float32)
+                  / np.float32(255.0))
+    return votes / np.float32(n_trees)
+
+
+def _vm_queries(forest, x):
+    """float32 rows: data, split thresholds, +-inf, float32 max, NaN."""
+    x32 = x.astype(np.float32)
+    rows = [x32]
+    specials = np.array([np.inf, -np.inf, np.finfo(np.float32).max,
+                         -np.finfo(np.float32).max, np.nan],
+                        dtype=np.float32)
+    for col in range(x.shape[1]):
+        block = x32[:len(specials)].copy()
+        block[:, col] = specials
+        rows.append(block)
+    rows.append(np.full((1, x.shape[1]), np.nan, dtype=np.float32))
+    for tree in forest.trees_:
+        for node in np.flatnonzero(tree.feature_ >= 0):
+            row = x32[node % len(x32)].copy()
+            row[tree.feature_[node]] = np.float32(tree.threshold_[node])
+            rows.append(row[None, :])
+    return np.concatenate(rows)
+
+
+def _fw_forest(seed, n_trees, depth, labels):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 7, size=(100, 5)).astype(float)
+    if labels == "constant":
+        y = np.full(100, seed % 2)
+    else:
+        y = ((x[:, 0] > 2) ^ (x[:, 1] > 3)).astype(int)
+        y[rng.random(100) < 0.2] ^= 1
+    return RandomForestClassifier(n_trees=n_trees, max_depth=depth,
+                                  min_samples_leaf=2 + seed % 6,
+                                  seed=seed).fit(x, y), x
+
+
+class TestForestTableFirmware:
+    """Images and VM outputs stay bit-identical to the per-tree code."""
+
+    #: sha256 of images packed before forests shared one heap table.
+    GOLDEN = {
+        "forest_4x6": "35964a7365b9ddc1114948fd5467e4194ecc5d63"
+                      "13927bfdde1063923b1432e7",
+        "tree_6": "41d4cb9dd0d615ffc8439518a6fa6312349fcf8c"
+                  "f0ca1bf54ac91af260eafc4e",
+        "forest_3x10_early": "1f3bf90ccba26046dd19e95888e6408d51d1c7b2"
+                             "5c6c039f9511985e7a6b73d7",
+    }
+
+    def test_image_bytes_unchanged(self, data):
+        x, y = data
+        images = {
+            "forest_4x6": compile_forest(RandomForestClassifier(
+                n_trees=4, max_depth=6, seed=2).fit(x, y)).image,
+            "tree_6": compile_tree(
+                DecisionTreeClassifier(max_depth=6).fit(x, y)).image,
+            "forest_3x10_early": compile_forest(RandomForestClassifier(
+                n_trees=3, max_depth=10, seed=5).fit(x[:400],
+                                                     y[:400])).image,
+        }
+        digests = {name: hashlib.sha256(image).hexdigest()
+                   for name, image in images.items()}
+        assert digests == self.GOLDEN
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_trees=st.integers(1, 12),
+           depth=st.integers(1, 10),
+           labels=st.sampled_from(["rule", "constant"]))
+    def test_image_and_vm_match_per_tree_reference(self, seed, n_trees,
+                                                   depth, labels):
+        forest, x = _fw_forest(seed, n_trees, depth, labels)
+        program = compile_forest(forest)
+        assert program.image == _reference_forest_image(forest)
+        queries = _vm_queries(forest, x)
+        probs = FirmwareVM().run(program, queries).probabilities
+        assert (probs.tobytes()
+                == _reference_vm_forest(program.image, queries).tobytes())
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16), depth=st.integers(1, 10),
+           other_depth=st.integers(1, 10))
+    def test_merged_forest_image_and_vm(self, seed, depth, other_depth):
+        first, x = _fw_forest(seed, 2, depth, "rule")
+        second, _ = _fw_forest(seed + 1, 3, other_depth, "rule")
+        merged = merge_forests(first, second)
+        program = compile_forest(merged)
+        assert program.image == _reference_forest_image(merged)
+        queries = _vm_queries(merged, x)
+        probs = FirmwareVM().run(program, queries).probabilities
+        assert (probs.tobytes()
+                == _reference_vm_forest(program.image, queries).tobytes())
+
+    def test_tree_program_matches_one_tree_forest(self, data, vm):
+        x, y = data
+        tree = DecisionTreeClassifier(max_depth=7, min_samples_leaf=40,
+                                      ).fit(x, y)
+        program = compile_tree(tree)
+        heap = b"".join(a.tobytes() for a in _reference_heap(tree, 7))
+        assert program.image == struct.pack("<II", 7, 12) + heap
+        forest_image = struct.pack("<III", 1, 7, 12) + heap
+        queries = np.concatenate([x[:200].astype(np.float32),
+                                  np.full((2, 12), np.nan, np.float32),
+                                  np.full((2, 12), np.inf, np.float32)])
+        assert (vm.run(program, queries).probabilities.tobytes()
+                == _reference_vm_forest(forest_image, queries).tobytes())
 
 
 class TestDeploy:

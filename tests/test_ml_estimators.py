@@ -1,7 +1,10 @@
 """Tests for the from-scratch ML estimators."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import rng as rng_mod
 from repro.errors import ConfigurationError, DatasetError, NotFittedError
@@ -17,6 +20,7 @@ from repro.ml import (
     merge_forests,
 )
 from repro.ml.base import tune_threshold_for_fp_rate
+from repro.ml.tree import ForestTable
 from repro.ml.metrics_ml import accuracy
 
 
@@ -208,6 +212,135 @@ class TestForest:
     def test_invalid_tree_count_rejected(self):
         with pytest.raises(ConfigurationError):
             RandomForestClassifier(n_trees=0)
+
+
+def _reference_tree_proba(tree, x):
+    """Per-node CART walk: the reference the heap table replaces."""
+    nodes = np.zeros(x.shape[0], dtype=np.int64)
+    active = tree.feature_[nodes] >= 0
+    while active.any():
+        cur = nodes[active]
+        go_left = x[active, tree.feature_[cur]] <= tree.threshold_[cur]
+        nodes[active] = np.where(go_left, tree.left_[cur],
+                                 tree.right_[cur])
+        active = tree.feature_[nodes] >= 0
+    return tree.value_[nodes]
+
+
+def _reference_forest_proba(forest, x):
+    """Per-tree loop, votes summed in tree order."""
+    votes = np.zeros(x.shape[0])
+    for tree in forest.trees_:
+        votes += _reference_tree_proba(tree, x)
+    return votes / len(forest.trees_)
+
+
+def _threshold_rows(trees, x):
+    """Rows whose split feature sits exactly on a split threshold."""
+    rows = []
+    for tree in trees:
+        for node in np.flatnonzero(tree.feature_ >= 0):
+            row = x[node % x.shape[0]].copy()
+            row[tree.feature_[node]] = tree.threshold_[node]
+            rows.append(row)
+    return np.array(rows).reshape(-1, x.shape[1])
+
+
+def _table_forest(seed, n_trees, depth, labels, min_leaf):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 7, size=(120, 4)).astype(float)
+    if labels == "constant":  # every tree is a single leaf
+        y = np.full(120, seed % 2)
+    elif labels == "rule":
+        y = ((x[:, 0] > 2) ^ (x[:, 1] > 3)).astype(int)
+    else:
+        y = (rng.random(120) < 0.5).astype(int)
+    forest = RandomForestClassifier(n_trees=n_trees, max_depth=depth,
+                                    min_samples_leaf=min_leaf,
+                                    seed=seed).fit(x, y)
+    queries = np.concatenate([x, rng.normal(3.0, 3.0, size=(40, 4)),
+                              _threshold_rows(forest.trees_, x)])
+    return forest, queries
+
+
+_FOREST_CASES = dict(
+    seed=st.integers(0, 2**16), n_trees=st.integers(1, 12),
+    depth=st.integers(1, 10),
+    labels=st.sampled_from(["random", "rule", "constant"]),
+    min_leaf=st.sampled_from([1, 4, 16]))
+
+
+class TestForestTable:
+    """The stacked heap walk is bit-identical to per-tree walks."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_FOREST_CASES)
+    def test_forest_matches_per_tree_walk(self, seed, n_trees, depth,
+                                          labels, min_leaf):
+        forest, queries = _table_forest(seed, n_trees, depth, labels,
+                                        min_leaf)
+        assert (forest.predict_proba(queries).tobytes()
+                == _reference_forest_proba(forest, queries).tobytes())
+        for tree in forest.trees_:
+            assert (tree.predict_proba(queries).tobytes()
+                    == _reference_tree_proba(tree, queries).tobytes())
+
+    @settings(max_examples=15, deadline=None)
+    @given(**_FOREST_CASES, other_depth=st.integers(1, 10))
+    def test_merged_forest_matches_per_tree_walk(self, seed, n_trees,
+                                                 depth, labels, min_leaf,
+                                                 other_depth):
+        first, queries = _table_forest(seed, n_trees, depth, labels,
+                                       min_leaf)
+        second, _ = _table_forest(seed + 1, 3, other_depth, "rule", 4)
+        merged = merge_forests(first, second)
+        assert merged.table.depth == max(depth, other_depth)
+        assert (merged.predict_proba(queries).tobytes()
+                == _reference_forest_proba(merged, queries).tobytes())
+
+    def test_single_leaf_and_early_stopping_trees(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        leaf = DecisionTreeClassifier(max_depth=4).fit(x, np.ones(4))
+        assert leaf.n_nodes == 1
+        assert ForestTable.from_trees([leaf], 4).features.shape == (1, 15)
+        assert np.array_equal(leaf.predict_proba(x), np.ones(4))
+        early = DecisionTreeClassifier(max_depth=6, min_samples_leaf=1,
+                                       min_samples_split=2).fit(
+            x, np.array([0, 0, 1, 1]))
+        assert early.depth == 1
+        probe = np.array([[1.5], [1.5000001], [-1e300], [1e300]])
+        assert (early.predict_proba(probe).tobytes()
+                == _reference_tree_proba(early, probe).tobytes())
+
+    def test_pickle_without_table_predicts_identically(self, xor_data):
+        x, y = xor_data
+        forest = RandomForestClassifier(n_trees=5, max_depth=6,
+                                        seed=4).fit(x[:600], y[:600])
+        expected = forest.predict_proba(x[600:900]).tobytes()
+        # A checkpoint written before the table existed has no table_.
+        del forest.__dict__["table_"]
+        clone = pickle.loads(pickle.dumps(forest))
+        assert "table_" not in clone.__dict__
+        assert clone.predict_proba(x[600:900]).tobytes() == expected
+        assert isinstance(clone.table_, ForestTable)
+
+    def test_table_shape_and_dtypes(self, xor_data):
+        x, y = xor_data
+        forest = RandomForestClassifier(n_trees=3, max_depth=5,
+                                        seed=1).fit(x[:400], y[:400])
+        table = forest.table
+        assert table.features.shape == (3, 31)
+        assert table.thresholds.shape == (3, 31)
+        assert table.leaves.shape == (3, 32)
+        assert table.thresholds.dtype == np.float64
+        assert table.leaves.dtype == np.float64
+
+    def test_tree_deeper_than_table_rejected(self, xor_data):
+        x, y = xor_data
+        tree = DecisionTreeClassifier(max_depth=6).fit(x[:400], y[:400])
+        assert tree.depth > 2
+        with pytest.raises(ConfigurationError, match="deeper"):
+            ForestTable.from_trees([tree], 2)
 
 
 class TestSVMs:

@@ -15,6 +15,7 @@ from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.errors import BusyError, ProtocolError, ServeClosedError
 from repro.errors import ServeError
 from repro.exec.parallel import ParallelMap, close_pools
+from repro.obs.metrics import METRICS
 from repro.serve import MicroBatcher, ServeClient, TenantLedger
 from repro.serve import adapt_payload, build_server, busy_response
 from repro.serve import decide_payload, encode_frame, recv_frame
@@ -94,17 +95,14 @@ class TestProtocol:
 # ---------------------------------------------------------------------
 class TestMicroBatcher:
     def test_invalid_params(self):
-        for kwargs in ({"max_batch": 0}, {"max_wait_us": -1},
-                       {"queue_bound": 0}):
-            params = {"max_batch": 4, "max_wait_us": 0,
-                      "queue_bound": 8, **kwargs}
+        for kwargs in ({"max_batch": 0}, {"queue_bound": 0}):
+            params = {"max_batch": 4, "queue_bound": 8, **kwargs}
             with pytest.raises(ValueError):
                 MicroBatcher(lambda items: list(items), **params)
 
     def test_results_in_submission_order(self):
         batcher = MicroBatcher(lambda items: [i * 10 for i in items],
-                               max_batch=4, max_wait_us=5000,
-                               queue_bound=64)
+                               max_batch=4, queue_bound=64)
         results = [None] * 12
 
         def submit(i):
@@ -122,27 +120,59 @@ class TestMicroBatcher:
     def test_coalesces_under_concurrency(self):
         sizes = []
         lock = threading.Lock()
-        gate = threading.Event()
+        blocking = threading.Event()
+        release = threading.Event()
 
         def execute(items):
-            gate.wait(5.0)
+            if items == ["block"]:
+                # Pin the consumer so the real submissions queue up
+                # behind an in-flight batch.
+                blocking.set()
+                release.wait(5.0)
             with lock:
                 sizes.append(len(items))
             return list(items)
 
-        batcher = MicroBatcher(execute, max_batch=8, max_wait_us=20000,
-                               queue_bound=64)
+        batcher = MicroBatcher(execute, max_batch=8, queue_bound=64)
+        blocker = threading.Thread(target=batcher.submit,
+                                   args=("block",))
+        blocker.start()
+        assert blocking.wait(5.0)
         threads = [threading.Thread(target=batcher.submit, args=(i,))
-                   for i in range(8)]
+                   for i in range(7)]
         for t in threads:
             t.start()
-        time.sleep(0.1)  # let every submission queue up
-        gate.set()
+        deadline = time.monotonic() + 5.0
+        while batcher.depth() < 7 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        release.set()
         for t in threads:
             t.join()
+        blocker.join()
         batcher.close()
-        assert max(sizes) > 1  # concurrent arrivals shared a batch
-        assert sum(sizes) == 8
+        # The blocker went out alone; everything queued behind it
+        # shared the next batch.
+        assert sizes == [1, 7]
+
+    def test_idle_executor_flushes_at_once(self):
+        """An idle batcher serves a lone request without waiting for
+        co-arrivals, and counts the under-full flush as a wait flush."""
+        def counters():
+            snap = METRICS.snapshot().get("counters", {})
+            return (snap.get("serve.flush_full", 0),
+                    snap.get("serve.flush_wait", 0))
+
+        batcher = MicroBatcher(lambda items: list(items), max_batch=4,
+                               queue_bound=8)
+        full, wait = counters()
+        assert batcher.submit("lone") == "lone"
+        assert counters() == (full, wait + 1)
+        batcher.close()
+        batcher = MicroBatcher(lambda items: list(items), max_batch=1,
+                               queue_bound=8)
+        assert batcher.submit("lone") == "lone"
+        assert counters() == (full + 1, wait + 1)
+        batcher.close()
 
     def test_sheds_at_queue_bound(self):
         release = threading.Event()
@@ -151,8 +181,7 @@ class TestMicroBatcher:
             release.wait(10.0)
             return list(items)
 
-        batcher = MicroBatcher(execute, max_batch=1, max_wait_us=0,
-                               queue_bound=2)
+        batcher = MicroBatcher(execute, max_batch=1, queue_bound=2)
 
         def submit_quietly(i):
             try:
@@ -180,8 +209,7 @@ class TestMicroBatcher:
         def execute(items):
             raise RuntimeError("executor blew up")
 
-        batcher = MicroBatcher(execute, max_batch=4, max_wait_us=1000,
-                               queue_bound=8)
+        batcher = MicroBatcher(execute, max_batch=4, queue_bound=8)
         errors = []
 
         def submit(i):
@@ -201,14 +229,14 @@ class TestMicroBatcher:
 
     def test_length_mismatch_is_an_error(self):
         batcher = MicroBatcher(lambda items: [], max_batch=1,
-                               max_wait_us=0, queue_bound=4)
+                               queue_bound=4)
         with pytest.raises(ServeClosedError, match="0 results"):
             batcher.submit("x")
         batcher.close()
 
     def test_closed_batcher_rejects(self):
         batcher = MicroBatcher(lambda items: list(items), max_batch=1,
-                               max_wait_us=0, queue_bound=4)
+                               queue_bound=4)
         batcher.close()
         batcher.close()  # idempotent
         with pytest.raises(ServeClosedError):
@@ -236,8 +264,8 @@ class TestMicroBatcher:
                 order.extend(items)
             return list(items)
 
-        batcher = MicroBatcher(execute, max_batch=2, max_wait_us=0,
-                               queue_bound=16, ledger=ledger)
+        batcher = MicroBatcher(execute, max_batch=2, queue_bound=16,
+                               ledger=ledger)
         blocker = threading.Thread(target=batcher.submit,
                                    args=("block", "default"))
         blocker.start()
@@ -395,8 +423,7 @@ class TestDaemon:
         path = str(tmp_path / "busy.sock")
         server = build_server(path, predictor_kind="const", n_apps=2,
                               workloads_per_app=1, intervals=64,
-                              max_batch=1, max_wait_us=0,
-                              queue_bound=1)
+                              max_batch=1, queue_bound=1)
         server.start()
         try:
             wait_until_ready(path, timeout_s=60.0)
