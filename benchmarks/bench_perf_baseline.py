@@ -50,12 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import BATCH_SIM_ENV_VAR, DEFAULT_SLA
-from repro.config import DEFAULT_SURROGATE_PROBES
-from repro.config import DEFAULT_SURROGATE_THRESHOLD
-from repro.config import EXEC_ARENA_ENV_VAR
-from repro.config import EXEC_SHARD_ENV_VAR, EXEC_SHMRES_ENV_VAR
-from repro.config import SIMCACHE_DIR_ENV_VAR, SURROGATE_ENV_VAR
+from repro.config import DEFAULT_SLA, KNOBS
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
 from repro.eval.runner import evaluate_predictor
@@ -196,7 +191,7 @@ def _env(var: str, value: str):
 
 def _batch_sim(enabled: bool):
     """Temporarily force the batch-simulation layer on or off."""
-    return _env(BATCH_SIM_ENV_VAR, "1" if enabled else "0")
+    return _env(KNOBS["batch_sim"].env, "1" if enabled else "0")
 
 
 def _bench_cycle_kernel(n_uops: int = 20000) -> dict:
@@ -308,7 +303,7 @@ def _bench_arena(traces, workers: int = 2, repeats: int = 3) -> dict:
     stage = "adaptive_prepare"
 
     def _deploy(arena_on: bool, persistent: bool):
-        with _env(EXEC_ARENA_ENV_VAR, "1" if arena_on else "0"):
+        with _env(KNOBS["arena"].env, "1" if arena_on else "0"):
             pmap = ParallelMap("process", n_workers=workers,
                                persistent=persistent)
             return _timed(lambda: evaluate_predictor(
@@ -363,7 +358,6 @@ def _bench_obs(traces, span_iters: int = 200_000) -> dict:
     nanoseconds — and a traced vs untraced warm deployment, asserted
     bit-identical before the ratio is reported.
     """
-    from repro.config import TRACE_ENV_VAR
     from repro.obs import tracer
 
     tracer.refresh()
@@ -388,7 +382,7 @@ def _bench_obs(traces, span_iters: int = 200_000) -> dict:
                                       suffix=".json")
     os.close(fd)
     try:
-        with _env(TRACE_ENV_VAR, trace_path):
+        with _env(KNOBS["trace"].env, trace_path):
             with tracer.trace("bench.obs"):
                 traced_s, traced_suite = _deploy()
     finally:
@@ -649,13 +643,13 @@ def run_scale(n_traces: int = 100_000, intervals: int = 24,
 
     close_pools()
     bytes0, tasks0 = _result_counters(stage)
-    with _env(EXEC_SHMRES_ENV_VAR, "1"), \
-            _env(EXEC_SHARD_ENV_VAR, str(shard)), \
+    with _env(KNOBS["shmres"].env, "1"), \
+            _env(KNOBS["shard"].env, str(shard)), \
             _RssSampler() as shm_rss:
         shm_s, ds_shm = _timed(_build)
     bytes1, tasks1 = _result_counters(stage)
     close_pools()
-    with _env(EXEC_SHMRES_ENV_VAR, "0"), _env(EXEC_SHARD_ENV_VAR, ""), \
+    with _env(KNOBS["shmres"].env, "0"), _env(KNOBS["shard"].env, ""), \
             _RssSampler() as pickled_rss:
         pickled_s, ds_pickled = _timed(_build)
     bytes2, tasks2 = _result_counters(stage)
@@ -749,8 +743,8 @@ def run_surrogate(n_traces: int = 10_000, intervals: int = 100,
     """
     from repro.surrogate import SurrogateTier
 
-    threshold = DEFAULT_SURROGATE_THRESHOLD
-    probes = DEFAULT_SURROGATE_PROBES
+    threshold = KNOBS["surrogate_threshold"].default
+    probes = KNOBS["surrogate_probes"].default
     n_apps = 12
     gen_s, traces = _timed(lambda: _generate_corpus(
         n_apps, -(-n_traces // n_apps), intervals))
@@ -793,8 +787,8 @@ def run_surrogate(n_traces: int = 10_000, intervals: int = 100,
     # Cache-cold builds: no disk cache, a fresh collector per trial, so
     # every trial pays full simulation (or surrogate) cost.
     def _build(surrogate_on: bool):
-        with _env(SIMCACHE_DIR_ENV_VAR, ""), \
-                _env(SURROGATE_ENV_VAR, "1" if surrogate_on else "0"):
+        with _env(KNOBS["simcache_dir"].env, ""), \
+                _env(KNOBS["surrogate"].env, "1" if surrogate_on else "0"):
             return _timed(lambda: build_mode_dataset(
                 traces, Mode.HIGH_PERF, counter_ids,
                 collector=TelemetryCollector()))

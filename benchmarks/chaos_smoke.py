@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import FAULT_SPEC_ENV_VAR
+from repro.config import KNOBS
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
@@ -85,7 +85,7 @@ def _predictor() -> DualModePredictor:
 
 
 def main() -> int:
-    spec = os.environ.pop(FAULT_SPEC_ENV_VAR, None) or DEFAULT_SPEC
+    spec = os.environ.pop(KNOBS["fault_spec"].env, None) or DEFAULT_SPEC
     traces = _corpus()
     predictor = _predictor()
     counter_ids = list(range(8))
@@ -99,7 +99,7 @@ def main() -> int:
 
     # Chaos: pools must fork after the spec lands in the environment.
     close_pools()
-    os.environ[FAULT_SPEC_ENV_VAR] = spec
+    os.environ[KNOBS["fault_spec"].env] = spec
     print(f"chaos plan: {spec}")
     pmap = ParallelMap(backend="process", n_workers=2, retries=2,
                        timeout=30.0)

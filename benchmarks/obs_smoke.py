@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import TRACE_ENV_VAR
+from repro.config import KNOBS
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
@@ -113,7 +113,7 @@ def _runs_equal(a, b) -> bool:
 def main() -> int:
     failures: list[str] = []
     traces = _corpus()
-    os.environ.pop(TRACE_ENV_VAR, None)
+    os.environ.pop(KNOBS["trace"].env, None)
     tracer.refresh()
 
     # Serial ground truth, and its deterministic per-pair counter.
@@ -144,7 +144,7 @@ def main() -> int:
     fd, trace_path = tempfile.mkstemp(prefix="repro-obs-smoke-",
                                       suffix=".json")
     os.close(fd)
-    os.environ[TRACE_ENV_VAR] = trace_path
+    os.environ[KNOBS["trace"].env] = trace_path
     try:
         with tracer.trace("obs_smoke"):
             traced_runs, traced_ds = _deploy(
@@ -176,7 +176,7 @@ def main() -> int:
         if not worker_spans:
             failures.append("no worker-side spans were absorbed")
     finally:
-        os.environ.pop(TRACE_ENV_VAR, None)
+        os.environ.pop(KNOBS["trace"].env, None)
         tracer.refresh()
         os.unlink(trace_path)
 

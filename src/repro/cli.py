@@ -16,6 +16,14 @@ without writing code:
 * ``catalog`` — summarise the 936-counter telemetry catalog.
 * ``obs export-trace`` — convert a ``REPRO_TRACE`` JSON file to Chrome
   ``about:tracing`` format.
+
+Every subcommand also takes ``--seed``, ``--exec-report``,
+``--obs-report`` and one flag per runtime knob that declares one in
+:data:`repro.config.KNOBS`; ``serve`` adds the serving knobs' flags.
+Those flags are generated from the declarations: each parses its
+argument with the knob's own parser, so it accepts exactly what the
+knob's ``REPRO_*`` variable accepts, and overrides that variable when
+given.
 """
 
 from __future__ import annotations
@@ -24,79 +32,52 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.config import experiment_seed
+from repro.config import (KNOBS, ExecConfig, Knob, active_exec_config,
+                          experiment_seed)
+from repro.errors import ConfigurationError
+
+
+def _knob_type(knob: Knob):
+    """The knob's own parser as an ``argparse`` type, so a flag and its
+    environment variable accept and reject exactly the same strings."""
+    def parse(raw: str):
+        try:
+            return knob.parse(raw)
+        except (ValueError, ConfigurationError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _add_knob_flags(parser: argparse.ArgumentParser, serving: bool) -> None:
+    """One flag per declared knob of the scope (see :class:`Knob`).
+
+    A flag stores its parsed value under the field name only when
+    given (``default=SUPPRESS``), which is how
+    :meth:`ExecConfig.from_cli` tells it apart from the environment.
+    """
+    for knob in KNOBS.values():
+        if knob.flag is None or knob.serving != serving:
+            continue
+        default = ("unset" if knob.default is None
+                   else knob.format(knob.default))
+        kwargs = {"dest": knob.name, "default": argparse.SUPPRESS,
+                  "help": f"{knob.doc} (default: {knob.env} or {default})"}
+        kwargs.update(knob.cli)
+        if "action" not in kwargs:
+            kwargs["type"] = _knob_type(knob)
+            if hasattr(knob.parse, "choices"):
+                kwargs["metavar"] = "{" + ",".join(knob.parse.choices) + "}"
+        parser.add_argument(knob.flag, **kwargs)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="experiment seed (default: REPRO_SEED or 7)")
-    parser.add_argument("--exec-backend", default=None,
-                        choices=["serial", "thread", "process", "auto"],
-                        help="execution backend for dataset-scale fan-out; "
-                             "'auto' probes and only fans out when workers "
-                             "would win (default: REPRO_EXEC_BACKEND or "
-                             "serial)")
-    parser.add_argument("--exec-workers", type=int, default=None,
-                        help="worker count for parallel backends "
-                             "(default: REPRO_EXEC_WORKERS or CPU count)")
-    parser.add_argument("--exec-arena", type=int, default=None,
-                        choices=[0, 1],
-                        help="ship trace corpora to process workers via a "
-                             "zero-copy memory-mapped arena (default: "
-                             "REPRO_EXEC_ARENA or 1)")
-    parser.add_argument("--exec-shmres", type=int, default=None,
-                        choices=[0, 1],
-                        help="return large worker results through shared-"
-                             "memory segments instead of pickling them "
-                             "(process backend; default: REPRO_EXEC_SHMRES "
-                             "or 1)")
-    parser.add_argument("--exec-shard", type=int, default=None,
-                        metavar="N",
-                        help="stream dataset builds, evaluations and "
-                             "screens in shards of N traces/cells with "
-                             "bounded parent memory (default: "
-                             "REPRO_EXEC_SHARD or unsharded)")
-    parser.add_argument("--exec-chunk", type=int, default=None,
-                        help="fixed items per parallel task (default: "
-                             "REPRO_EXEC_CHUNK, or adaptive from per-item "
-                             "cost)")
-    parser.add_argument("--exec-retries", type=int, default=None,
-                        help="retries for a failed parallel chunk before "
-                             "degrading or raising (default: "
-                             "REPRO_EXEC_RETRIES or 2)")
-    parser.add_argument("--exec-timeout", type=float, default=None,
-                        help="per-task timeout in seconds for pool "
-                             "backends; 0 disables (default: "
-                             "REPRO_EXEC_TIMEOUT or off)")
-    parser.add_argument("--fault-spec", default=None,
-                        help="deterministic fault-injection spec, e.g. "
-                             "'seed=7,crash=0.05,corrupt_cache=0.1' "
-                             "(default: REPRO_FAULT_SPEC or off)")
-    parser.add_argument("--surrogate", type=int, default=None,
-                        choices=[0, 1],
-                        help="serve confidence-gated learned predictions "
-                             "above the interval simulator (default: "
-                             "REPRO_SURROGATE or 0)")
-    parser.add_argument("--surrogate-threshold", type=float, default=None,
-                        metavar="REL",
-                        help="accept a (trace, mode) pair when the "
-                             "ensemble's relative CPI disagreement stays "
-                             "under REL at the 95th percentile (default: "
-                             "REPRO_SURROGATE_THRESHOLD or 0.02)")
-    parser.add_argument("--surrogate-probes", type=int, default=None,
-                        metavar="N",
-                        help="probe traces simulated through the interval "
-                             "tier to train and gate the surrogate "
-                             "(default: REPRO_SURROGATE_PROBES or 32)")
+    _add_knob_flags(parser, serving=False)
     parser.add_argument("--exec-report", action="store_true",
                         help="print stage timings, cache hit rates, payload "
                              "bytes, worker utilisation and resilience "
                              "counters at exit")
-    parser.add_argument("--trace", nargs="?", const="1", default=None,
-                        metavar="PATH",
-                        help="emit a structured JSON trace of the run; "
-                             "with no PATH, writes repro_trace.json "
-                             "(default: REPRO_TRACE or off)")
     parser.add_argument("--obs-report", action="store_true",
                         help="print the observability report at exit: "
                              "per-stage wall time and throughput, cache "
@@ -208,12 +189,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # dies uncleanly, within the configured restart budget. The
         # already-applied env config flows to the child, so checkpoint
         # and serve knobs survive the re-exec.
-        from repro.config import serve_restarts
         from repro.serve.supervisor import run_supervised
         child = [sys.executable, "-m", "repro"] + [
             a for a in getattr(args, "_argv", sys.argv[1:])
             if a != "--supervise"]
-        return run_supervised(child, serve_restarts())
+        return run_supervised(child, active_exec_config().serve_restarts)
     from repro.serve import build_server
     server = build_server(
         args.socket, predictor_kind=args.predictor,
@@ -390,57 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workloads per application")
     p.add_argument("--intervals", type=int, default=96,
                    help="telemetry intervals per trace")
-    p.add_argument("--serve-batch-max", type=int, default=None,
-                   dest="serve_batch_max",
-                   help="micro-batch bound (default: "
-                        "REPRO_SERVE_BATCH_MAX or 8)")
-    p.add_argument("--serve-queue-bound", type=int, default=None,
-                   dest="serve_queue_bound",
-                   help="admission queue bound before shedding "
-                        "(default: REPRO_SERVE_QUEUE_BOUND or 64)")
-    p.add_argument("--serve-batch-timeout", type=float, default=None,
-                   dest="serve_batch_timeout",
-                   help="seconds an in-flight batch may execute before "
-                        "the watchdog abandons it (default: "
-                        "REPRO_SERVE_BATCH_TIMEOUT or 30)")
-    p.add_argument("--checkpoint", default=None,
-                   dest="serve_checkpoint", metavar="PATH",
-                   help="warm-state checkpoint path: restore corpus + "
-                        "trained predictor from it when valid, write it "
-                        "after a cold build (default: "
-                        "REPRO_SERVE_CHECKPOINT or off)")
-    p.add_argument("--serve-restarts", type=int, default=None,
-                   dest="serve_restarts",
-                   help="restart budget for --supervise (default: "
-                        "REPRO_SERVE_RESTARTS or 3)")
     p.add_argument("--supervise", action="store_true",
                    help="run under a supervising parent that re-execs "
                         "the daemon on unclean death, within the "
                         "restart budget")
-    p.add_argument("--online", action="store_true", default=None,
-                   help="enable the continual-adaptation loop: sample "
-                        "served telemetry, retrain on drift, hot-swap "
-                        "promoted models (default: REPRO_ONLINE)")
-    p.add_argument("--online-ring", type=int, default=None,
-                   dest="online_ring",
-                   help="telemetry ring capacity (default: "
-                        "REPRO_ONLINE_RING or 2048)")
-    p.add_argument("--online-sample", type=int, default=None,
-                   dest="online_sample",
-                   help="sample 1 in N served requests into the ring "
-                        "(default: REPRO_ONLINE_SAMPLE or 1)")
-    p.add_argument("--online-drift-window", type=int, default=None,
-                   dest="online_drift_window",
-                   help="samples per drift-check window (default: "
-                        "REPRO_ONLINE_DRIFT_WINDOW or 64)")
-    p.add_argument("--online-drift-threshold", type=float, default=None,
-                   dest="online_drift_threshold",
-                   help="PSI threshold that trips a retrain (default: "
-                        "REPRO_ONLINE_DRIFT_THRESHOLD or 0.25)")
-    p.add_argument("--online-interval", type=float, default=None,
-                   dest="online_interval_s",
-                   help="seconds between learner drift polls (default: "
-                        "REPRO_ONLINE_INTERVAL_S or 2.0)")
+    _add_knob_flags(p, serving=True)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -501,22 +435,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The raw invocation, for commands that re-exec themselves
     # (serve --supervise rebuilds the child command from it).
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    from repro.config import ExecConfig
-    if args.fault_spec is not None:
+    if getattr(args, "fault_spec", None) is not None:
         from repro.exec.faults import FaultPlan
         FaultPlan.parse(args.fault_spec)  # fail fast on a bad spec
-    config = ExecConfig.from_cli(args)
-    # Through the environment (not just install_exec_config) so
-    # process-pool workers inherit every knob too.
-    config.apply_env()
-    if (args.exec_backend is not None or args.exec_workers is not None
-            or args.exec_chunk is not None
-            or args.exec_retries is not None
-            or args.exec_timeout is not None):
-        from repro.exec import configure
-        configure(backend=config.backend, n_workers=config.workers,
-                  chunk_size=config.chunk, retries=config.retries,
-                  timeout=config.timeout)
+    # Through the environment so process-pool workers inherit every knob.
+    ExecConfig.from_cli(args).apply_env()
     from repro import obs
     with obs.tracer.trace(f"repro.{args.command}"):
         status = args.func(args)

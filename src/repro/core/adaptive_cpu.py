@@ -17,16 +17,15 @@ import pickle
 
 import numpy as np
 
-from repro.config import DEFAULT_SLA, MachineConfig, SLAConfig
-from repro.config import batch_sim_enabled, exec_arena_enabled
-from repro.config import exec_shard_size
+from repro.config import (DEFAULT_SLA, MachineConfig, SLAConfig,
+                          active_exec_config)
 from repro.core.gating import GatingController
 from repro.core.labels import LabelSet, gating_labels
 from repro.core.predictor import DualModePredictor
 from repro.core.sla import SLAAccounting, sla_window_violations
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
-from repro.exec.parallel import ParallelMap, default_parallel_map
+from repro.exec.parallel import ParallelMap
 from repro.exec.stats import EXEC_STATS
 from repro.obs import tracer
 from repro.telemetry.collector import TelemetryCollector, coarsen
@@ -285,9 +284,9 @@ class AdaptiveCPU:
                  ) -> list[AdaptiveRunResult]:
         """Deploy on a whole trace corpus.
 
-        ``pmap`` selects the execution backend (default: the
-        process-wide :func:`~repro.exec.parallel.default_parallel_map`,
-        i.e. serial unless configured otherwise). Traces are
+        ``pmap`` selects the execution backend (default: a
+        :class:`~repro.exec.parallel.ParallelMap` built from the active
+        config, i.e. serial unless configured otherwise). Traces are
         independent and internally seeded, so every backend returns
         bit-identical results in trace order.
 
@@ -311,10 +310,11 @@ class AdaptiveCPU:
         Inference is row-wise and finalisation per-trace, so sharded
         runs stay bit-identical to unsharded ones.
         """
-        pmap = pmap if pmap is not None else default_parallel_map()
-        if not (batch_sim_enabled() and type(self).run is AdaptiveCPU.run):
+        pmap = pmap if pmap is not None else ParallelMap()
+        config = active_exec_config()
+        if not (config.batch_sim and type(self).run is AdaptiveCPU.run):
             return pmap.map(self.run, traces, stage="adaptive_run")
-        shard = exec_shard_size()
+        shard = config.shard
         if shard is not None and len(traces) > shard:
             n_shards = -(-len(traces) // shard)
             out: list[AdaptiveRunResult] = []
@@ -378,7 +378,7 @@ class AdaptiveCPU:
                     EXEC_STATS.incr("arena.attach_fallback")
                     return pmap.map_chunks(self._prepare_chunk, traces,
                                            stage="adaptive_prepare")
-        if (exec_arena_enabled() and len(traces) > 1
+        if (active_exec_config().arena and len(traces) > 1
                 and pmap.uses_processes(len(traces), "adaptive_prepare")):
             try:
                 arena = TraceArena.build(

@@ -30,14 +30,14 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import DEFAULT_SLA, SLAConfig, exec_arena_enabled
+from repro.config import DEFAULT_SLA, SLAConfig, active_exec_config
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import dataset_from_traces
 from repro.data.dataset import GatingDataset
 from repro.errors import ArenaIntegrityError, ConfigurationError
 from repro.eval.metrics import effective_sla_window, pooled_rsv
 from repro.exec.arena import TraceArena
-from repro.exec.parallel import ParallelMap, default_parallel_map
+from repro.exec.parallel import ParallelMap
 from repro.exec.stats import EXEC_STATS
 from repro.obs import tracer
 from repro.eval.metrics import pgos as pgos_metric
@@ -265,7 +265,7 @@ def _fit_candidate_grid(factory: Callable[[Mode], Estimator],
     are bit-identical on every path.
     """
     arena = None
-    if (exec_arena_enabled() and len(grid) > 1
+    if (active_exec_config().arena and len(grid) > 1
             and pmap.uses_processes(len(grid), "train_candidates")):
         try:
             arena = _build_train_arena(factory, datasets)
@@ -325,7 +325,7 @@ def train_dual_predictor(name: str,
             raise ConfigurationError("per-mode counter sets must match")
     assert counter_ids is not None
     if rsv_budget is not None and calibration_fraction > 0.0:
-        pmap = pmap if pmap is not None else default_parallel_map()
+        pmap = pmap if pmap is not None else ParallelMap()
         n_cand = max(1, n_candidates)
         grid = [(mode, candidate) for mode in Mode
                 for candidate in range(n_cand)]

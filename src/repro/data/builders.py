@@ -17,9 +17,7 @@ import numpy as np
 
 from repro import rng as rng_mod
 from repro.config import BASE_INTERVAL_INSTRUCTIONS, DEFAULT_SLA, SLAConfig
-from repro.config import batch_sim_enabled, exec_arena_enabled
-from repro.config import exec_shard_size, experiment_scale
-from repro.config import surrogate_enabled
+from repro.config import active_exec_config, experiment_scale
 from repro.core.labels import gating_labels
 from repro.data.dataset import (
     DatasetAssembler,
@@ -28,7 +26,7 @@ from repro.data.dataset import (
 )
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
-from repro.exec.parallel import ParallelMap, default_parallel_map
+from repro.exec.parallel import ParallelMap
 from repro.exec.simcache import SimCache, default_simcache
 from repro.exec.stats import EXEC_STATS
 from repro.obs import tracer
@@ -55,7 +53,7 @@ def _sim_tier() -> str:
     the surrogate on can never shadow interval-tier truth (or vice
     versa).
     """
-    return "surrogate" if surrogate_enabled() else "interval"
+    return "surrogate" if active_exec_config().surrogate else "interval"
 
 
 def _build_trace_part(trace: TraceSpec, mode: Mode,
@@ -64,7 +62,7 @@ def _build_trace_part(trace: TraceSpec, mode: Mode,
                       granularity_factor: int,
                       horizon: int) -> GatingDataset:
     """One trace's slice of the supervised dataset (parallel unit)."""
-    if batch_sim_enabled():
+    if active_exec_config().batch_sim:
         # Snapshot and labels each consult their own disk-cache tier
         # (and the simulator's LRU, prewarmed by the chunk's stacked
         # pass, on a miss) — a fully warm build never simulates.
@@ -119,7 +117,7 @@ def _build_trace_chunk(traces: list[TraceSpec], part_fn, mode: Mode,
     def _tkey(trace):
         return (trace.name, trace.seed, trace.n_intervals)
 
-    if simcache is None or not batch_sim_enabled():
+    if simcache is None or not active_exec_config().batch_sim:
         needs_sim = {_tkey(trace) for trace in traces}
     else:
         machine = collector.model.machine
@@ -227,8 +225,8 @@ def _build_mode_dataset(traces, mode, counter_ids, sla, collector,
         cached = simcache.load_dataset(key)
         if cached is not None:
             return cached
-    pmap = pmap if pmap is not None else default_parallel_map()
-    shard = exec_shard_size()
+    pmap = pmap if pmap is not None else ParallelMap()
+    shard = active_exec_config().shard
     if shard is not None and len(traces) > shard:
         dataset = _build_sharded(traces, mode, counter_ids, sla,
                                  collector, granularity_factor, horizon,
@@ -251,14 +249,14 @@ def _build_parts(traces, mode, counter_ids, sla, collector,
                                 collector=collector,
                                 granularity_factor=granularity_factor,
                                 horizon=horizon)
-    if not batch_sim_enabled():
+    if not active_exec_config().batch_sim:
         return pmap.map(part_fn, traces, stage="build_dataset")
     # Whole chunks reach each worker, so the interval simulations
     # of a chunk run as one stacked batch pass before the per-trace
     # assembly (which then hits the warm LRU). Process dispatch
     # ships the corpus and collector once via the trace arena.
     arena = None
-    if (exec_arena_enabled() and len(traces) > 1
+    if (active_exec_config().arena and len(traces) > 1
             and pmap.uses_processes(len(traces), "build_dataset")):
         try:
             arena = TraceArena.build(

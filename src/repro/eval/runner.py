@@ -15,8 +15,7 @@ import functools
 
 import numpy as np
 
-from repro.config import (DEFAULT_SLA, SLAConfig, exec_shard_size,
-                          surrogate_enabled)
+from repro.config import DEFAULT_SLA, SLAConfig, active_exec_config
 from repro.core.adaptive_cpu import AdaptiveCPU, AdaptiveRunResult
 from repro.core.predictor import DualModePredictor
 from repro.errors import DatasetError
@@ -143,12 +142,12 @@ def evaluate_predictor(predictor: DualModePredictor,
     """
     if not traces:
         raise DatasetError("no traces to evaluate")
-    shard = exec_shard_size()
+    shard = active_exec_config().shard
     n_shards = (1 if shard is None or len(traces) <= shard
                 else -(-len(traces) // shard))
     with tracer.span("evaluate.predictor", predictor=predictor.name,
                      traces=len(traces), shards=n_shards,
-                     surrogate=surrogate_enabled()):
+                     surrogate=active_exec_config().surrogate):
         cpu = AdaptiveCPU(predictor, collector=collector, power=power,
                           sla=sla)
         runs = cpu.run_many(traces, pmap=pmap)

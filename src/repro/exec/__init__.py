@@ -43,9 +43,6 @@ from repro.exec.parallel import (
     BACKENDS,
     ParallelMap,
     close_pools,
-    configure,
-    default_parallel_map,
-    reset_default,
 )
 from repro.exec.shmres import ShmChunk
 from repro.exec.simcache import SimCache, default_simcache
@@ -62,11 +59,8 @@ __all__ = [
     "TraceArena",
     "active_plan",
     "close_pools",
-    "configure",
-    "default_parallel_map",
     "default_simcache",
     "detach_all",
     "inject",
     "install_fault_plan",
-    "reset_default",
 ]

@@ -57,8 +57,9 @@ Design points:
   :mod:`repro.exec.faults` layer can inject every one of these
   failures deterministically (``REPRO_FAULT_SPEC``).
 
-Defaults come from the environment so existing entry points pick up
-parallelism without signature changes: ``REPRO_EXEC_BACKEND`` selects
+Defaults come from the active :class:`~repro.config.ExecConfig` (the
+environment unless a scope overrides it), so existing entry points
+pick up parallelism without signature changes: ``REPRO_EXEC_BACKEND`` selects
 the backend (default ``serial``), ``REPRO_EXEC_WORKERS`` the worker
 count (default: CPU count), ``REPRO_EXEC_CHUNK`` pins the chunk size,
 ``REPRO_EXEC_POOL`` picks persistent vs fresh pools,
@@ -79,8 +80,8 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro import config as config_mod
 from repro import rng as rng_mod
+from repro.config import EXEC_BACKENDS, active_exec_config
 from repro.errors import (
     ConfigurationError,
     ResultIntegrityError,
@@ -93,17 +94,9 @@ from repro.obs import tracer
 from repro.obs.metrics import METRICS
 from repro.exec.stats import EXEC_STATS
 
-#: Environment variable selecting the default backend (read through
-#: :meth:`repro.config.ExecConfig.from_env`).
-BACKEND_ENV_VAR = config_mod.EXEC_BACKEND_ENV_VAR
-
-#: Environment variable selecting the default worker count (read
-#: through :meth:`repro.config.ExecConfig.from_env`).
-WORKERS_ENV_VAR = config_mod.EXEC_WORKERS_ENV_VAR
-
 #: Recognised backends, in increasing isolation order; ``auto`` probes
 #: and picks between ``serial`` and ``process`` per call.
-BACKENDS = config_mod.EXEC_BACKENDS
+BACKENDS = EXEC_BACKENDS
 
 #: ``auto`` only fans out when the estimated total work for a map call
 #: is at least this many seconds — below it, pool submission overhead
@@ -362,14 +355,15 @@ class ParallelMap:
                  retries: int | None = None,
                  timeout: float | None = None) -> None:
         if backend is None:
-            backend = config_mod.exec_backend()
+            backend = active_exec_config().backend
         if backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown exec backend {backend!r}; expected one of "
                 f"{BACKENDS}"
             )
         if n_workers is None:
-            n_workers = config_mod.exec_workers() or (os.cpu_count() or 1)
+            n_workers = (active_exec_config().workers
+                         or os.cpu_count() or 1)
         if n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}"
@@ -432,7 +426,7 @@ class ParallelMap:
     def _persistent(self) -> bool:
         if self.persistent is not None:
             return self.persistent
-        return config_mod.exec_pool_persistent()
+        return active_exec_config().pool == "persistent"
 
     def _acquire_pool(self, backend: str) -> concurrent.futures.Executor:
         if self._persistent():
@@ -477,12 +471,12 @@ class ParallelMap:
     def _retries(self) -> int:
         if self.retries is not None:
             return self.retries
-        return config_mod.exec_retries()
+        return active_exec_config().retries
 
     def _timeout(self) -> float | None:
         if self.timeout is not None:
             return self.timeout
-        return config_mod.exec_timeout()
+        return active_exec_config().timeout
 
     # ------------------------------------------------------------------
     def _chunks(self, indexed: list[tuple[int, object]], stage: str,
@@ -490,7 +484,7 @@ class ParallelMap:
         """Contiguous chunks sized to keep every worker busy."""
         size = self.chunk_size
         if size is None:
-            size = config_mod.exec_chunk_size()
+            size = active_exec_config().chunk
         if size is None:
             cost = EXEC_STATS.per_item_cost(stage)
             if cost is not None and cost > 0.0:
@@ -787,41 +781,3 @@ class ParallelMap:
         for chunk_results in per_chunk:
             results.extend(chunk_results)
         return results, busy, workers
-
-
-#: Session-wide override installed by :func:`configure` (e.g. the CLI).
-_DEFAULT: ParallelMap | None = None
-
-
-def configure(backend: str | None = None, n_workers: int | None = None,
-              chunk_size: int | None = None,
-              seed: int | None = None,
-              persistent: bool | None = None,
-              retries: int | None = None,
-              timeout: float | None = None) -> ParallelMap:
-    """Install the process-wide default :class:`ParallelMap`.
-
-    Entry points that take a ``pmap`` argument fall back to this
-    default when none is passed, so one ``configure`` call (or the
-    ``REPRO_EXEC_*`` environment variables) parallelises every
-    dataset-scale path at once.
-    """
-    global _DEFAULT
-    _DEFAULT = ParallelMap(backend=backend, n_workers=n_workers,
-                           chunk_size=chunk_size, seed=seed,
-                           persistent=persistent, retries=retries,
-                           timeout=timeout)
-    return _DEFAULT
-
-
-def default_parallel_map() -> ParallelMap:
-    """The configured default, or a fresh env-driven instance."""
-    if _DEFAULT is not None:
-        return _DEFAULT
-    return ParallelMap()
-
-
-def reset_default() -> None:
-    """Drop any :func:`configure` override (tests)."""
-    global _DEFAULT
-    _DEFAULT = None

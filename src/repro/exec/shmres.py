@@ -64,7 +64,7 @@ import zlib
 
 import numpy as np
 
-from repro import config as config_mod
+from repro.config import active_exec_config
 from repro.errors import ResultIntegrityError
 from repro.exec import faults
 from repro.exec.stats import EXEC_STATS
@@ -109,7 +109,7 @@ def enabled(backend: str) -> bool:
     Only the process backend crosses an IPC boundary; thread and
     serial execution return results by reference and never encode.
     """
-    return backend == "process" and config_mod.exec_shmres_enabled()
+    return backend == "process" and active_exec_config().shmres
 
 
 @dataclasses.dataclass(frozen=True)

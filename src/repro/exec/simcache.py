@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import config as config_mod
+from repro.config import active_exec_config
 from repro.errors import CacheCorruptionError
 from repro.exec import faults
 from repro.exec.stats import EXEC_STATS
@@ -55,10 +55,6 @@ from repro.exec.stats import EXEC_STATS
 #: stop being addressable and are naturally evicted by disuse.
 #: (2: per-entry ``__digest__`` checksum became mandatory.)
 SCHEMA_VERSION = 2
-
-#: Environment variable enabling the cache at a directory (alias of
-#: :data:`repro.config.SIMCACHE_DIR_ENV_VAR`; kept for import compat).
-SIMCACHE_ENV_VAR = config_mod.SIMCACHE_DIR_ENV_VAR
 
 
 def _flip_byte(path: Path) -> None:
@@ -260,7 +256,7 @@ class SimCache:
                 meta = json.loads(str(data["__meta__"]))
                 payload = {name: data[name] for name in data.files
                            if name not in ("__meta__", "__digest__")}
-                if config_mod.simcache_verify_enabled():
+                if active_exec_config().simcache_verify:
                     stored = (str(data["__digest__"])
                               if "__digest__" in data.files else None)
                     expected = self._entry_digest(payload, meta)
@@ -470,11 +466,10 @@ class SimCache:
 def default_simcache() -> SimCache | None:
     """Config-driven cache: ``REPRO_SIMCACHE_DIR`` names the directory.
 
-    Reads through :func:`repro.config.simcache_dir`, so an installed
-    :class:`~repro.config.ExecConfig` override wins over the raw
-    environment variable.
+    Reads the active :class:`~repro.config.ExecConfig`, so an
+    ``override()`` scope wins over the raw environment variable.
     """
-    root = config_mod.simcache_dir()
+    root = active_exec_config().simcache_dir
     if not root:
         return None
     return SimCache(root)

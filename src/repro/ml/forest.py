@@ -18,14 +18,14 @@ import pickle
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import exec_arena_enabled
+from repro.config import active_exec_config
 from repro.errors import (
     ArenaIntegrityError,
     ConfigurationError,
     NotFittedError,
 )
 from repro.exec.arena import TraceArena
-from repro.exec.parallel import default_parallel_map
+from repro.exec.parallel import ParallelMap
 from repro.exec.stats import EXEC_STATS
 from repro.ml.base import Estimator, check_xy
 from repro.ml.tree import DecisionTreeClassifier, ForestTable
@@ -97,9 +97,9 @@ class RandomForestClassifier(Estimator):
             idx_all = [np.arange(n) for _ in range(self.n_trees)]
         seeds = [rng_mod.derive_seed(self.seed, "tree", t)
                  for t in range(self.n_trees)]
-        pmap = default_parallel_map()
+        pmap = ParallelMap()
         arena = None
-        if (exec_arena_enabled() and self.n_trees > 1
+        if (active_exec_config().arena and self.n_trees > 1
                 and pmap.uses_processes(self.n_trees, "forest_fit")):
             try:
                 arena = TraceArena.build(

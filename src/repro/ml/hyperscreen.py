@@ -17,11 +17,10 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import (exec_arena_enabled, exec_shard_size,
-                          surrogate_enabled)
+from repro.config import active_exec_config
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
-from repro.exec.parallel import ParallelMap, default_parallel_map
+from repro.exec.parallel import ParallelMap
 from repro.exec.stats import EXEC_STATS
 from repro.obs import tracer
 from repro.ml.base import Estimator
@@ -134,10 +133,11 @@ def screen_configs(model_factory: Callable[[Mapping[str, object]], Estimator],
     """
     if not configs:
         raise DatasetError("no configurations to screen")
-    pmap = pmap if pmap is not None else default_parallel_map()
+    pmap = pmap if pmap is not None else ParallelMap()
     grid = [(config, fold) for config in configs for fold in folds]
     with tracer.span("screen_configs", configs=len(configs),
-                     folds=len(folds), surrogate=surrogate_enabled()):
+                     folds=len(folds),
+                     surrogate=active_exec_config().surrogate):
         return _screen_grid(model_factory, configs, x, y, folds,
                             metric_fns, threshold_tuner, pmap, grid)
 
@@ -153,7 +153,7 @@ def _screen_grid(model_factory, configs, x, y, folds, metric_fns,
     sharded screening is bit-identical to the single-pass map.
     """
     arena = None
-    if (exec_arena_enabled() and len(grid) > 1
+    if (active_exec_config().arena and len(grid) > 1
             and pmap.uses_processes(len(grid), "hyperscreen")):
         try:
             arena = TraceArena.build(
@@ -184,7 +184,7 @@ def _screen_grid(model_factory, configs, x, y, folds, metric_fns,
             sub, stage="hyperscreen")
 
     try:
-        shard = exec_shard_size()
+        shard = active_exec_config().shard
         if shard is None or len(grid) <= shard:
             cells = _map_cells(grid)
         else:

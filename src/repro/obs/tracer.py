@@ -58,15 +58,11 @@ import os
 import threading
 import time
 
+from repro.config import KNOBS
 from repro.obs.metrics import METRICS
 
 #: Version stamped into (and required of) every trace document.
 OBS_SCHEMA_VERSION = 1
-
-#: Environment variable gating the tracer (kept in sync with
-#: :data:`repro.config.TRACE_ENV_VAR`; duplicated literally so the
-#: tracer has zero repro imports beyond :mod:`repro.obs.metrics`).
-TRACE_ENV_VAR = "REPRO_TRACE"
 
 #: Where ``REPRO_TRACE=1`` writes the trace when no path is given.
 DEFAULT_TRACE_PATH = "repro_trace.json"
@@ -77,16 +73,6 @@ DEFAULT_TRACE_PATH = "repro_trace.json"
 #: (``REPRO_TRACE_SAMPLE``) so long sweeps keep a representative tail
 #: instead of a truncated head.
 MAX_SPANS = 200_000
-
-#: Environment variable selecting the 1-in-N sampling rate applied
-#: above the half-full threshold (kept in sync with
-#: :data:`repro.config.TRACE_SAMPLE_ENV_VAR`; duplicated literally so
-#: the tracer keeps zero repro imports). ``1`` disables sampling and
-#: restores the pure drop-at-cap behaviour.
-TRACE_SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
-
-#: Default sampling rate (keep every 8th span above the threshold).
-DEFAULT_SAMPLE_RATE = 8
 
 #: Keys every span record must carry (schema validation).
 _SPAN_KEYS = ("name", "id", "parent", "pid", "tid", "start_s", "dur_s",
@@ -108,24 +94,15 @@ _LAST_TRACE_PATH: str | None = None
 
 def _env_spec() -> str | None:
     """Trace destination from the environment, or None when disabled."""
-    raw = os.environ.get(TRACE_ENV_VAR)
-    if raw is None or raw in ("", "0"):
-        return None
-    return DEFAULT_TRACE_PATH if raw == "1" else raw
+    spec = KNOBS["trace"].read()
+    return DEFAULT_TRACE_PATH if spec == "1" else spec
 
 
 def _env_sample_rate() -> int:
-    """Sampling rate from the environment (lenient: bad values fall
-    back to the default here; :meth:`repro.config.ExecConfig.from_env`
-    is where a malformed ``REPRO_TRACE_SAMPLE`` raises)."""
-    raw = os.environ.get(TRACE_SAMPLE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_SAMPLE_RATE
-    try:
-        rate = int(raw)
-    except ValueError:
-        return DEFAULT_SAMPLE_RATE
-    return rate if rate >= 1 else DEFAULT_SAMPLE_RATE
+    """1-in-N sampling rate from the environment (``REPRO_TRACE_SAMPLE``,
+    parsed and validated exactly as :class:`repro.config.ExecConfig`
+    does; ``1`` disables sampling)."""
+    return KNOBS["trace_sample"].read()
 
 
 #: Cached sampling rate; refreshed alongside ``_ENABLED``.

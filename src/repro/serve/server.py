@@ -64,7 +64,6 @@ from repro.errors import BatchTimeoutError, BusyError, CheckpointError
 from repro.errors import ProtocolError, ServeClosedError, ServeError
 from repro.exec import faults
 from repro.exec.parallel import ParallelMap, close_pools
-from repro.exec.parallel import default_parallel_map
 from repro.ml.base import Estimator
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import tracer
@@ -252,7 +251,7 @@ class AdaptationServer:
             else config.serve_batch_timeout_s)
         self.init_s = init_s
         self.checkpoint_info = checkpoint_info
-        self._pmap = pmap if pmap is not None else default_parallel_map()
+        self._pmap = pmap if pmap is not None else ParallelMap()
         self.ledger = TenantLedger()
         self._listener: socket.socket | None = None
         self._conns: set[socket.socket] = set()
@@ -287,23 +286,22 @@ class AdaptationServer:
         self._dedup_lock = threading.Lock()
         # Continual-adaptation loop (REPRO_ONLINE / --online): sampled
         # telemetry ring, drift detector and the background learner.
-        online_cfg = config.online
         self.online_enabled = (online if online is not None
-                               else online_cfg.enabled)
+                               else config.online_enabled)
         self._checkpoint_path = checkpoint_path
         self._fingerprint = fingerprint
         self.ring: TelemetryRing | None = None
         self.detector: DriftDetector | None = None
         self.learner: OnlineLearner | None = None
         if self.online_enabled:
-            self.ring = TelemetryRing(online_cfg.ring,
-                                      sample=online_cfg.sample)
+            self.ring = TelemetryRing(config.online_ring,
+                                      sample=config.online_sample)
             self.detector = DriftDetector(
-                online_cfg.drift_window, online_cfg.drift_threshold,
+                config.online_drift_window, config.online_drift_threshold,
                 n_traces=len(self.traces))
             self.learner = OnlineLearner(
                 self.registry, self.ring, self.detector, self.traces,
-                pmap=self._pmap, interval_s=online_cfg.interval_s,
+                pmap=self._pmap, interval_s=config.online_interval_s,
                 on_promote=self.persist_generation)
 
     @property

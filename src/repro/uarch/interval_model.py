@@ -32,8 +32,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import (MachineConfig, active_exec_config,
-                          batch_sim_enabled, interval_lru_size)
+from repro.config import MachineConfig, active_exec_config
 from repro.errors import SimulationError
 from repro.exec.simcache import SimCache, default_simcache
 from repro.exec.stats import EXEC_STATS
@@ -123,8 +122,8 @@ class IntervalModel:
     Results are memoised in a bounded LRU cache keyed by (trace, mode),
     because dataset builders revisit the same traces at several gating
     granularities and in both modes. The bound defaults to the
-    ``REPRO_INTERVAL_LRU`` environment variable (see
-    :func:`repro.config.interval_lru_size`); hit/miss counts surface in
+    ``REPRO_INTERVAL_LRU`` knob (``interval_lru`` on
+    :class:`repro.config.ExecConfig`); hit/miss counts surface in
     the :data:`~repro.exec.stats.EXEC_STATS` report.
 
     When a :class:`~repro.exec.simcache.SimCache` is attached (or
@@ -137,8 +136,8 @@ class IntervalModel:
                  simcache: SimCache | None = None) -> None:
         self.machine = machine or MachineConfig()
         self._cache: "OrderedDict[tuple, IntervalResult]" = OrderedDict()
-        self._cache_size = (interval_lru_size() if cache_size is None
-                            else cache_size)
+        self._cache_size = (active_exec_config().interval_lru
+                            if cache_size is None else cache_size)
         self.simcache = simcache if simcache is not None else (
             default_simcache())
         # Tier-0 learned surrogate (repro.surrogate), built lazily on
@@ -429,7 +428,7 @@ class IntervalModel:
     def simulate_both(self, trace: TraceSpec,
                       ) -> dict[Mode, IntervalResult]:
         """Simulate a trace in both modes (the paper's data recipe)."""
-        if batch_sim_enabled():
+        if active_exec_config().batch_sim:
             batch = self.simulate_batch([trace])
             return {mode: batch[(trace.name, trace.seed,
                                  trace.n_intervals, mode)]

@@ -2,32 +2,30 @@
 :class:`~repro.config.ExecConfig` runtime-knob API."""
 
 import argparse
+import ast
+import pathlib
 
 import pytest
 
+from repro.cli import build_parser
 from repro.config import (
     DEFAULT_SLA,
     EXEC_ENV_VARS,
+    KNOBS,
     ExecConfig,
     MachineConfig,
     MicrocontrollerConfig,
     SLAConfig,
     SUPPORTED_GRANULARITIES,
     active_exec_config,
-    cycle_kernel,
-    exec_backend,
-    exec_retries,
-    exec_shard_size,
-    exec_shmres_enabled,
     experiment_scale,
     experiment_seed,
-    fault_spec,
-    interval_lru_size,
-    simcache_dir,
-    trace_sample_rate,
-    trace_spec,
 )
 from repro.errors import ConfigurationError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+README = ROOT / "README.md"
 
 
 class TestMachineConfig:
@@ -173,13 +171,13 @@ class TestExecConfig:
 
     def test_shard_empty_or_zero_means_unsharded(self, monkeypatch):
         _clear_exec_env(monkeypatch)
-        assert exec_shard_size() is None
+        assert active_exec_config().shard is None
         monkeypatch.setenv("REPRO_EXEC_SHARD", "")
         assert ExecConfig.from_env().shard is None
         monkeypatch.setenv("REPRO_EXEC_SHARD", "0")
         assert ExecConfig.from_env().shard is None
         monkeypatch.setenv("REPRO_EXEC_SHARD", "250")
-        assert exec_shard_size() == 250
+        assert active_exec_config().shard == 250
 
     def test_shard_invalid_rejected(self, monkeypatch):
         _clear_exec_env(monkeypatch)
@@ -192,15 +190,15 @@ class TestExecConfig:
 
     def test_shmres_env_parsed(self, monkeypatch):
         _clear_exec_env(monkeypatch)
-        assert exec_shmres_enabled() is True
+        assert active_exec_config().shmres is True
         monkeypatch.setenv("REPRO_EXEC_SHMRES", "0")
-        assert exec_shmres_enabled() is False
+        assert active_exec_config().shmres is False
 
     def test_trace_sample_env_parsed(self, monkeypatch):
         _clear_exec_env(monkeypatch)
-        assert trace_sample_rate() == 8
+        assert active_exec_config().trace_sample == 8
         monkeypatch.setenv("REPRO_TRACE_SAMPLE", "16")
-        assert trace_sample_rate() == 16
+        assert active_exec_config().trace_sample == 16
 
     def test_trace_sample_invalid_rejected(self, monkeypatch):
         _clear_exec_env(monkeypatch)
@@ -260,30 +258,16 @@ class TestExecConfig:
         import os
         with ExecConfig(backend="thread", retries=7).override():
             assert active_exec_config().backend == "thread"
-            assert exec_backend() == "thread"
-            assert exec_retries() == 7
+            assert active_exec_config().retries == 7
             assert "REPRO_EXEC_BACKEND" not in os.environ
-        assert exec_backend() == "serial"
+        assert active_exec_config().backend == "serial"
 
     def test_overrides_nest(self, monkeypatch):
         _clear_exec_env(monkeypatch)
         with ExecConfig(retries=5).override():
             with ExecConfig(retries=9).override():
-                assert exec_retries() == 9
-            assert exec_retries() == 5
-
-    def test_accessor_shims_read_active_config(self, monkeypatch):
-        _clear_exec_env(monkeypatch)
-        cfg = ExecConfig(simcache_dir="/tmp/x",
-                         fault_spec="seed=2,crash=0.5",
-                         cycle_kernel="reference", interval_lru=17,
-                         trace="t.json")
-        with cfg.override():
-            assert simcache_dir() == "/tmp/x"
-            assert fault_spec() == "seed=2,crash=0.5"
-            assert cycle_kernel() == "reference"
-            assert interval_lru_size() == 17
-            assert trace_spec() == "t.json"
+                assert active_exec_config().retries == 9
+            assert active_exec_config().retries == 5
 
     def test_invalid_backend_is_configuration_error(self, monkeypatch):
         with pytest.raises(ConfigurationError):
@@ -318,16 +302,16 @@ class TestExecConfig:
     def test_from_cli_layers_flags_over_env(self, monkeypatch):
         _clear_exec_env(monkeypatch)
         monkeypatch.setenv("REPRO_EXEC_RETRIES", "4")
-        args = argparse.Namespace(
-            exec_backend="process", exec_workers=2, exec_arena=0,
-            exec_chunk=None, exec_retries=None, exec_timeout=0.0,
-            fault_spec=None, trace="1")
+        monkeypatch.setenv("REPRO_EXEC_TIMEOUT", "9")
+        args = build_parser().parse_args([
+            "budget", "--exec-backend", "process", "--exec-workers", "2",
+            "--exec-arena", "0", "--exec-timeout", "0", "--trace"])
         config = ExecConfig.from_cli(args)
         assert config.backend == "process"
         assert config.workers == 2
         assert config.arena is False
         assert config.retries == 4  # env survives an un-passed flag
-        assert config.timeout is None  # 0 disables
+        assert config.timeout is None  # a passed 0 disables over the env
         assert config.trace == "1"
 
     def test_from_cli_tolerates_foreign_namespaces(self, monkeypatch):
@@ -343,3 +327,85 @@ class TestExecConfig:
         assert ExecConfig.from_env() == config
         import os
         assert "REPRO_EXEC_WORKERS" not in os.environ
+
+
+def _outcome(build):
+    """``("ok", value)`` or ``("error", None)`` for one config build."""
+    try:
+        return "ok", build()
+    except (ValueError, ConfigurationError, SystemExit):
+        return "error", None
+
+
+_VALUED_FLAGS = [knob for knob in KNOBS.values()
+                 if knob.flag and "action" not in knob.cli]
+
+
+class TestKnobDeclarations:
+    """Every knob is declared once; everything else is derived from it."""
+
+    @pytest.mark.parametrize("knob", _VALUED_FLAGS, ids=lambda k: k.flag)
+    def test_flag_and_env_agree(self, knob, monkeypatch, capsys):
+        """A flag and its variable give the same value, or both fail."""
+        command = "serve" if knob.serving else "budget"
+        raws = ["0", "-1", "", "junk", "7"]
+        if knob.default is not None:
+            raws.append(knob.format(knob.default))
+        for raw in raws:
+            _clear_exec_env(monkeypatch)
+            cli = _outcome(lambda: ExecConfig.from_cli(build_parser()
+                           .parse_args([command, f"{knob.flag}={raw}"])))
+            monkeypatch.setenv(knob.env, raw)
+            env = _outcome(ExecConfig.from_env)
+            assert cli == env, (knob.flag, raw)
+        capsys.readouterr()  # argparse's usage errors
+
+    def test_store_true_flag_matches_env(self, monkeypatch):
+        _clear_exec_env(monkeypatch)
+        args = build_parser().parse_args(["serve", "--online"])
+        monkeypatch.setenv("REPRO_ONLINE", "1")
+        assert ExecConfig.from_cli(args) == ExecConfig.from_env()
+
+    def test_each_env_name_is_spelled_once_in_src(self):
+        """The declaration is the only string literal naming a knob's
+        variable; every other reader goes through :data:`KNOBS`."""
+        counts = dict.fromkeys(EXEC_ENV_VARS, 0)
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and node.value in counts:
+                    counts[node.value] += 1
+        assert counts == dict.fromkeys(EXEC_ENV_VARS, 1)
+
+    def test_readme_knob_table_is_generated(self):
+        """README's knob table is :func:`knob_table`'s output; run this
+        module as a script to regenerate it."""
+        text = README.read_text()
+        start = text.index(_TABLE_START) + len(_TABLE_START)
+        end = text.index(_TABLE_END)
+        assert text[start:end].strip() == knob_table()
+
+
+_TABLE_START = "<!-- knob table: generated by tests/test_config.py -->"
+_TABLE_END = "<!-- end knob table -->"
+
+
+def knob_table() -> str:
+    """The README's runtime-knob table, rendered from :data:`KNOBS`."""
+    rows = ["| field | env var | CLI flag | default | meaning |",
+            "|---|---|---|---|---|"]
+    for knob in KNOBS.values():
+        default = ("unset" if knob.default is None
+                   else knob.format(knob.default))
+        flag = f"`{knob.flag}`" if knob.flag else "—"
+        rows.append(f"| `{knob.name}` | `{knob.env}` | {flag} | "
+                    f"`{default}` | {knob.doc} |")
+    return "\n".join(rows)
+
+
+if __name__ == "__main__":
+    # Regenerate README.md's knob table in place.
+    text = README.read_text()
+    head, rest = text.split(_TABLE_START)
+    _, tail = rest.split(_TABLE_END)
+    README.write_text(f"{head}{_TABLE_START}\n{knob_table()}\n"
+                      f"{_TABLE_END}{tail}")

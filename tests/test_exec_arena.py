@@ -17,7 +17,7 @@ from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
 from repro.errors import ArenaIntegrityError
-from repro.exec import EXEC_STATS, ParallelMap, TraceArena, reset_default
+from repro.exec import EXEC_STATS, ParallelMap, TraceArena
 from repro.exec import arena as arena_mod
 from repro.exec.parallel import AUTO_MIN_PARALLEL_S
 from repro.exec.stats import ExecStats
@@ -41,13 +41,6 @@ class _ConstModel(Estimator):
 
     def predict_proba(self, x):
         return np.full(x.shape[0], self.prob)
-
-
-@pytest.fixture(autouse=True)
-def _no_global_override():
-    reset_default()
-    yield
-    reset_default()
 
 
 @pytest.fixture(scope="module")

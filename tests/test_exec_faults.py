@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import FAULT_SPEC_ENV_VAR
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
@@ -34,7 +33,6 @@ from repro.exec import (
     close_pools,
     inject,
     install_fault_plan,
-    reset_default,
 )
 from repro.exec import parallel as parallel_mod
 from repro.exec.arena import MAGIC, _PREFIX_LEN
@@ -73,13 +71,11 @@ class _ConstModel(Estimator):
 @pytest.fixture(autouse=True)
 def _fault_hygiene(monkeypatch):
     """No plan leaks in or out of a test; pools never outlive one."""
-    reset_default()
     install_fault_plan(None)
-    monkeypatch.delenv(FAULT_SPEC_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
     yield
     install_fault_plan(None)
     close_pools()
-    reset_default()
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +151,7 @@ class TestFaultPlan:
 
     def test_install_overrides_env(self, monkeypatch):
         assert active_plan() is None
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=1,crash=0.2")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=1,crash=0.2")
         assert active_plan() == FaultPlan(seed=1, crash=0.2)
         installed = FaultPlan(seed=9, hang=0.4)
         install_fault_plan(installed)
@@ -181,7 +177,7 @@ class TestCrashRecovery:
 
     def test_process_crash_walks_the_full_ladder(self, monkeypatch):
         close_pools()  # new pools must fork with the spec in their env
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=0,crash=1.0")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=0,crash=1.0")
         pmap = ParallelMap(backend="process", n_workers=2,
                            chunk_size=3, retries=2)
         rebuilds = EXEC_STATS.count("parallel.pool_rebuild")
@@ -372,7 +368,7 @@ class TestArenaIntegrity:
         serial = cpu.run_many(traces,
                               pmap=ParallelMap(backend="serial"))
         close_pools()
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=1,corrupt_arena=1.0")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=1,corrupt_arena=1.0")
         monkeypatch.setenv("REPRO_EXEC_ARENA", "1")
         fallbacks = EXEC_STATS.count("arena.attach_fallback")
         chaotic = cpu.run_many(
@@ -402,7 +398,7 @@ class TestChaosEquivalence:
         serial = cpu.run_many(traces,
                               pmap=ParallelMap(backend="serial"))
         close_pools()  # pools must fork after the spec lands in env
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, spec)
+        monkeypatch.setenv("REPRO_FAULT_SPEC", spec)
         pmap = ParallelMap(backend=backend, n_workers=2, retries=2,
                            timeout=30.0)
         try:

@@ -5,6 +5,8 @@ bit-identical results to the serial uncached path. Every test here
 asserts exact equality, never approximate.
 """
 
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import MachineConfig, interval_lru_size
+from repro.config import (EXEC_ENV_VARS, KNOBS, ExecConfig, MachineConfig,
+                          active_exec_config)
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
@@ -31,13 +34,13 @@ from repro.exec import (
     SimCache,
     close_pools,
     inject,
-    reset_default,
 )
 from repro.exec import shmres
 from repro.exec.simcache import default_simcache
 from repro.ml.base import Estimator
 from repro.ml.crossval import Fold
 from repro.ml.hyperscreen import screen_configs
+from repro.obs import tracer
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.interval_model import IntervalModel
 from repro.uarch.modes import Mode
@@ -74,13 +77,6 @@ def _const_factory(config):
 
 def _accuracy(y_true, y_pred, scores):
     return float((y_true == y_pred).mean())
-
-
-@pytest.fixture(autouse=True)
-def _no_global_override():
-    reset_default()
-    yield
-    reset_default()
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +406,91 @@ class TestSharding:
                                                for r in sharded]
 
 
+def _matrix_variants() -> dict[str, dict]:
+    """Knob settings of the backend x knob identity matrix, derived from
+    the declarations: every engine (non-serving) on/off knob flipped
+    from its default, plus a small shard size and tracing on."""
+    variants: dict[str, dict] = {"default": {}}
+    for knob in KNOBS.values():
+        if isinstance(knob.default, bool) and not knob.serving:
+            flipped = not knob.default
+            variants[f"{knob.name}={knob.format(flipped)}"] = {
+                knob.name: flipped}
+    variants["shard=2"] = {"shard": 2}
+    variants["trace=1"] = {"trace": "1"}
+    return variants
+
+
+_VARIANTS = _matrix_variants()
+
+#: Knobs that select a different simulator tier: their cells must agree
+#: across backends, but not with the interval-tier default.
+_TIER_KNOBS = {"surrogate"}
+
+_DIGESTS: dict[tuple[str, str], str] = {}
+
+
+def _result_digest(runs, dataset) -> str:
+    digest = hashlib.sha256()
+    for run in runs:
+        for field in dataclasses.fields(run):
+            value = getattr(run, field.name)
+            digest.update(value.tobytes() if isinstance(value, np.ndarray)
+                          else repr(value).encode())
+    for name in ("x", "y", "groups", "workloads", "traces"):
+        digest.update(getattr(dataset, name).tobytes())
+    return digest.hexdigest()
+
+
+def _cell_digest(variant, backend, traces, predictor, monkeypatch) -> str:
+    """Digest of ``run_many`` + ``build_mode_dataset`` for one cell, run
+    with exactly that cell's knobs in the environment (so freshly
+    started pool workers see them too)."""
+    key = (variant, backend)
+    if key in _DIGESTS:
+        return _DIGESTS[key]
+    with monkeypatch.context() as env:
+        for var in EXEC_ENV_VARS:
+            env.delenv(var, raising=False)
+        for var, raw in ExecConfig(**_VARIANTS[variant]).to_env().items():
+            if raw is not None:
+                env.setenv(var, raw)
+        tracer.refresh()
+        close_pools()
+        pools = (EXEC_STATS.count("parallel.pool_create")
+                 + EXEC_STATS.count("parallel.pool_reuse"))
+        pmap = ParallelMap(backend=backend, n_workers=2)
+        runs = AdaptiveCPU(predictor, collector=TelemetryCollector()
+                           ).run_many(traces, pmap=pmap)
+        dataset = build_mode_dataset(traces, Mode.LOW_POWER, [0, 1, 2, 3],
+                                     collector=TelemetryCollector(),
+                                     pmap=pmap)
+        if backend != "serial":
+            assert (EXEC_STATS.count("parallel.pool_create")
+                    + EXEC_STATS.count("parallel.pool_reuse")) > pools
+    close_pools()
+    tracer.refresh()
+    _DIGESTS[key] = _result_digest(runs, dataset)
+    return _DIGESTS[key]
+
+
+class TestBackendKnobMatrix:
+    """Every backend x knob cell is bit-identical to serial under the
+    same knobs, and (except tier knobs) to the default cell."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("variant", list(_VARIANTS))
+    def test_cell_identical(self, variant, backend, traces, predictor,
+                            monkeypatch):
+        cell = _cell_digest(variant, backend, traces, predictor,
+                            monkeypatch)
+        assert cell == _cell_digest(variant, "serial", traces, predictor,
+                                    monkeypatch)
+        if not _TIER_KNOBS & set(_VARIANTS[variant]):
+            assert cell == _cell_digest("default", "serial", traces,
+                                        predictor, monkeypatch)
+
+
 class TestSimCache:
     def test_roundtrip_bitwise_identical(self, traces, tmp_path):
         trace = traces[0]
@@ -493,17 +574,17 @@ class TestSimCache:
 class TestIntervalLRU:
     def test_env_configures_bound(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "2")
-        assert interval_lru_size() == 2
+        assert active_exec_config().interval_lru == 2
         model = IntervalModel(simcache=None)
         assert model._cache_size == 2
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "zero")
         with pytest.raises(ValueError):
-            interval_lru_size()
+            active_exec_config().interval_lru
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "0")
         with pytest.raises(ValueError):
-            interval_lru_size()
+            active_exec_config().interval_lru
 
     def test_bound_enforced_and_counters_reported(self, traces):
         model = IntervalModel(cache_size=1, simcache=None)

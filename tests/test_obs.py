@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.config import FAULT_SPEC_ENV_VAR, TRACE_ENV_VAR
+from repro.config import KNOBS, ExecConfig
 from repro.errors import DatasetError
 from repro.exec import EXEC_STATS, ParallelMap, close_pools
 from repro.exec import parallel as parallel_mod
@@ -157,7 +157,7 @@ class TestTracerDisabled:
         assert tracer.spans_snapshot() == []
 
     def test_disabled_trace_writes_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         out = tmp_path / "t.json"
         with tracer.trace("run", path=str(out)):
             pass
@@ -197,7 +197,7 @@ class TestTracerEnabled:
 
     def test_trace_writes_valid_document(self, tmp_path, monkeypatch):
         out = tmp_path / "trace.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         with tracer.trace("unit.run"):
             with tracer.span("step", k=1):
                 pass
@@ -226,7 +226,7 @@ class TestTracerEnabled:
         import os
         close_pools()  # fresh pools must fork with REPRO_TRACE set
         out = tmp_path / "t.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         tracer.refresh()
         pmap = ParallelMap(backend="process", n_workers=2, chunk_size=2)
         result = pmap.map(_spanned_double, range(8), stage="obs_pspan")
@@ -284,25 +284,38 @@ class TestSpanSampling:
     def test_trace_doc_records_sampling_fields(self, tmp_path,
                                                monkeypatch):
         out = tmp_path / "t.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         with tracer.trace("unit.sample"):
             pass
         doc = json.loads(out.read_text())
         assert validate_trace(doc) == []
         assert doc["sampled_spans"] == 0
-        assert doc["sample_rate"] == tracer.DEFAULT_SAMPLE_RATE
+        assert doc["sample_rate"] == KNOBS["trace_sample"].default
+
+    @pytest.mark.parametrize("raw", ["0", "often", "-3", ""])
+    def test_bad_sample_rate_rejected_like_config(self, raw, monkeypatch):
+        """The tracer parses REPRO_TRACE_SAMPLE with the config's own
+        parser: a value ExecConfig rejects never silently samples."""
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", raw)
+        with pytest.raises(ValueError) as from_config:
+            ExecConfig.from_env()
+        with pytest.raises(ValueError) as from_tracer:
+            tracer.refresh()
+        assert str(from_tracer.value) == str(from_config.value)
+        monkeypatch.delenv("REPRO_TRACE_SAMPLE")
+        tracer.refresh()
 
 
 class TestTracedRunsAreBitIdentical:
     def test_traced_equals_untraced(self, tmp_path, monkeypatch):
         close_pools()
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         tracer.refresh()
         plain = ParallelMap(backend="process", n_workers=2,
                             chunk_size=3).map(
             _double, range(10), stage="obs_plain")
         close_pools()
-        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path / "t.json"))
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.json"))
         tracer.refresh()
         with tracer.trace("bit.identity"):
             traced = ParallelMap(backend="process", n_workers=2,
@@ -322,14 +335,14 @@ class TestPoolGauge:
         returns to zero and no child processes survive."""
         close_pools()
         assert METRICS.gauge("parallel.pools_open") == 0
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=0,crash=1.0")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=0,crash=1.0")
         pmap = ParallelMap(backend="process", n_workers=2,
                            chunk_size=3, retries=2)
         degrades = EXEC_STATS.count("parallel.degrade_thread")
         assert pmap.map(_double, range(10),
                         stage="obs_ladder") == [i * 2 for i in range(10)]
         assert EXEC_STATS.count("parallel.degrade_thread") == degrades + 1
-        monkeypatch.delenv(FAULT_SPEC_ENV_VAR)
+        monkeypatch.delenv("REPRO_FAULT_SPEC")
         close_pools()
         assert METRICS.gauge("parallel.pools_open") == 0
         assert not parallel_mod._POOLS
@@ -357,7 +370,7 @@ class TestPoolGauge:
 class TestChromeExport:
     def _doc(self, tmp_path, monkeypatch):
         out = tmp_path / "trace.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         with tracer.trace("export.run"):
             with tracer.span("outer", k=1):
                 with tracer.span("inner", label="x"):

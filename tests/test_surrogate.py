@@ -13,7 +13,7 @@ import pytest
 
 import repro.surrogate.tier as tier_mod
 from repro.data.builders import build_mode_dataset
-from repro.exec import EXEC_STATS, ParallelMap, SimCache, reset_default
+from repro.exec import EXEC_STATS, ParallelMap, SimCache
 from repro.surrogate import SurrogateTier
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.interval_model import IntervalModel
@@ -24,14 +24,11 @@ IDS = [0, 1, 2, 3]
 
 
 @pytest.fixture(autouse=True)
-def _no_global_override(monkeypatch):
-    reset_default()
+def _surrogate_env(monkeypatch):
     monkeypatch.delenv("REPRO_SIMCACHE_DIR", raising=False)
     # Small probe corpus keeps per-test training cheap; the gate still
     # passes because the interval tier's CPI is linear in the features.
     monkeypatch.setenv("REPRO_SURROGATE_PROBES", "16")
-    yield
-    reset_default()
 
 
 @pytest.fixture(scope="module")
