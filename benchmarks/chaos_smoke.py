@@ -34,8 +34,9 @@ from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
 from repro.errors import ExecFaultError
-from repro.exec import EXEC_STATS, ParallelMap, SimCache, close_pools
+from repro.exec import ParallelMap, SimCache, close_pools
 from repro.ml.base import Estimator
+from repro.obs.metrics import METRICS
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.modes import Mode
 from repro.workloads.generator import generate_application
@@ -141,7 +142,7 @@ def main() -> int:
         shutil.rmtree(cache_dir, ignore_errors=True)
     close_pools()
 
-    resilience = EXEC_STATS.resilience()
+    resilience = METRICS.resilience()
     print("resilience counters:")
     for name, value in resilience.items():
         print(f"  {name:<30s} {value}")

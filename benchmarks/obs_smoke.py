@@ -34,9 +34,10 @@ from repro.config import KNOBS
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
-from repro.exec import EXEC_STATS, ParallelMap, close_pools
+from repro.exec import ParallelMap, close_pools
 from repro.ml.base import Estimator
 from repro.obs import render_report, tracer, validate_trace
+from repro.obs.metrics import METRICS
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.modes import Mode
 from repro.workloads.generator import generate_application
@@ -117,26 +118,26 @@ def main() -> int:
     tracer.refresh()
 
     # Serial ground truth, and its deterministic per-pair counter.
-    pairs_before = EXEC_STATS.count("interval_batch.pairs")
+    pairs_before = METRICS.count("interval_batch.pairs")
     serial_runs, serial_ds = _deploy(
         traces, ParallelMap(backend="serial"))
-    serial_pairs = EXEC_STATS.count("interval_batch.pairs") - pairs_before
+    serial_pairs = METRICS.count("interval_batch.pairs") - pairs_before
 
     # Untraced process-pool run: worker counters must merge to the
     # exact serial totals (the pre-PR-5 bug was that they vanished).
     close_pools()
-    pairs_before = EXEC_STATS.count("interval_batch.pairs")
-    merges_before = EXEC_STATS.count("obs.worker_merges")
+    pairs_before = METRICS.count("interval_batch.pairs")
+    merges_before = METRICS.count("obs.worker_merges")
     pmap = ParallelMap(backend="process", n_workers=2)
     plain_runs, plain_ds = _deploy(traces, pmap)
-    plain_pairs = EXEC_STATS.count("interval_batch.pairs") - pairs_before
+    plain_pairs = METRICS.count("interval_batch.pairs") - pairs_before
     if not _runs_equal(serial_runs, plain_runs):
         failures.append("process run diverged from serial")
     if plain_pairs != serial_pairs:
         failures.append(
             f"worker-side interval_batch.pairs merged to {plain_pairs}, "
             f"serial recorded {serial_pairs}")
-    if EXEC_STATS.count("obs.worker_merges") <= merges_before:
+    if METRICS.count("obs.worker_merges") <= merges_before:
         failures.append("no worker sidecar was merged")
 
     # Traced process-pool run: bit-identical, schema-valid, covered.

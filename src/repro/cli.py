@@ -444,8 +444,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     with obs.tracer.trace(f"repro.{args.command}"):
         status = args.func(args)
     if args.exec_report:
-        from repro.exec import EXEC_STATS
-        print(EXEC_STATS.report())
+        from repro.obs.metrics import METRICS
+        print(METRICS.report())
     if args.obs_report:
         print(obs.render_report())
     return status

@@ -26,8 +26,8 @@ from repro.core.sla import SLAAccounting, sla_window_violations
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap
-from repro.exec.stats import EXEC_STATS
 from repro.obs import tracer
+from repro.obs.metrics import METRICS
 from repro.telemetry.collector import TelemetryCollector, coarsen
 from repro.uarch.modes import Mode
 from repro.uarch.power import MODE_SWITCH_ENERGY_NJ, PowerModel
@@ -166,7 +166,7 @@ class AdaptiveCPU:
             arena = TraceArena.build(traces, objects={"cpu": self},
                                      machine=self.machine)
         except (pickle.PicklingError, AttributeError, TypeError):
-            EXEC_STATS.incr("arena.build_fallback")
+            METRICS.incr("arena.build_fallback")
             return None
         self._resident_arena = arena
         self._resident_index = {id(t): i for i, t in enumerate(traces)}
@@ -323,7 +323,7 @@ class AdaptiveCPU:
                 with tracer.span("deploy.shard", shard=si,
                                  shards=n_shards, traces=len(sub)):
                     out.extend(self._run_many_batch(sub, pmap))
-                EXEC_STATS.incr("adaptive_run.shards")
+                METRICS.incr("adaptive_run.shards")
             return out
         return self._run_many_batch(traces, pmap)
 
@@ -334,11 +334,11 @@ class AdaptiveCPU:
             preps = self._prepare_many(traces, pmap)
         if not preps:
             return []
-        with EXEC_STATS.stage("adaptive_infer"), \
+        with METRICS.stage("adaptive_infer"), \
                 tracer.span("deploy.infer", traces=len(preps)):
             bounds = np.cumsum([0] + [prep.t_count for prep in preps])
             probs_by_mode = self._infer_many(preps)
-        with EXEC_STATS.stage("adaptive_finalize"), \
+        with METRICS.stage("adaptive_finalize"), \
                 tracer.span("deploy.finalize", traces=len(preps)):
             out = []
             for p, prep in enumerate(preps):
@@ -368,14 +368,14 @@ class AdaptiveCPU:
                 # Serving hot path: the daemon's corpus already lives in
                 # the resident arena, so fan out bare indices — no
                 # per-request arena build or teardown.
-                EXEC_STATS.incr("arena.resident_reuse")
+                METRICS.incr("arena.resident_reuse")
                 fn = functools.partial(_arena_prepare_chunk,
                                        self._resident_arena.handle)
                 try:
                     return pmap.map_chunks(fn, indices,
                                            stage="adaptive_prepare")
                 except ArenaIntegrityError:
-                    EXEC_STATS.incr("arena.attach_fallback")
+                    METRICS.incr("arena.attach_fallback")
                     return pmap.map_chunks(self._prepare_chunk, traces,
                                            stage="adaptive_prepare")
         if (active_exec_config().arena and len(traces) > 1
@@ -384,7 +384,7 @@ class AdaptiveCPU:
                 arena = TraceArena.build(
                     traces, objects={"cpu": self}, machine=self.machine)
             except (pickle.PicklingError, AttributeError, TypeError):
-                EXEC_STATS.incr("arena.build_fallback")
+                METRICS.incr("arena.build_fallback")
         if arena is None:
             return pmap.map_chunks(self._prepare_chunk, traces,
                                    stage="adaptive_prepare")
@@ -396,7 +396,7 @@ class AdaptiveCPU:
             # A worker found the segment corrupt (or an injected
             # corrupt_arena fault fired): re-run via pickled dispatch,
             # which is bit-identical, just slower.
-            EXEC_STATS.incr("arena.attach_fallback")
+            METRICS.incr("arena.attach_fallback")
             return pmap.map_chunks(self._prepare_chunk, traces,
                                    stage="adaptive_prepare")
         finally:
@@ -424,16 +424,16 @@ class AdaptiveCPU:
                                axis=0)
                 for mode in modes
             ]
-            EXEC_STATS.incr("adaptive_infer.model_calls")
+            METRICS.incr("adaptive_infer.model_calls")
             if len(modes) == 1:
-                EXEC_STATS.observe("adaptive_infer.batch_rows",
-                                   blocks[0].shape[0])
+                METRICS.observe("adaptive_infer.batch_rows",
+                                blocks[0].shape[0])
                 probs_by_mode[modes[0]] = self.predictor.predict_proba(
                     blocks[0], modes[0])
                 continue
             stacked = np.concatenate(blocks, axis=0)
-            EXEC_STATS.observe("adaptive_infer.batch_rows",
-                               stacked.shape[0])
+            METRICS.observe("adaptive_infer.batch_rows",
+                            stacked.shape[0])
             probs = self.predictor.predict_proba(stacked, modes[0])
             rows = blocks[0].shape[0]
             for k, mode in enumerate(modes):

@@ -38,7 +38,6 @@ from repro.errors import ArenaIntegrityError, ConfigurationError
 from repro.eval.metrics import effective_sla_window, pooled_rsv
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap
-from repro.exec.stats import EXEC_STATS
 from repro.obs import tracer
 from repro.eval.metrics import pgos as pgos_metric
 from repro.ml.base import Estimator
@@ -46,6 +45,7 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.histogram import CounterHistogramEncoder
 from repro.ml.linear import LogisticRegression
 from repro.ml.mlp import MLPClassifier
+from repro.obs.metrics import METRICS
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.counters import default_catalog
 from repro.telemetry.selection import (
@@ -270,7 +270,7 @@ def _fit_candidate_grid(factory: Callable[[Mode], Estimator],
         try:
             arena = _build_train_arena(factory, datasets)
         except (pickle.PicklingError, AttributeError, TypeError):
-            EXEC_STATS.incr("arena.build_fallback")
+            METRICS.incr("arena.build_fallback")
     if arena is not None:
         try:
             return pmap.map(
@@ -283,7 +283,7 @@ def _fit_candidate_grid(factory: Callable[[Mode], Estimator],
         except ArenaIntegrityError:
             # Corrupt/injected-corrupt segment: fall back to pickled
             # dispatch below — bit-identical, just slower.
-            EXEC_STATS.incr("arena.attach_fallback")
+            METRICS.incr("arena.attach_fallback")
         finally:
             arena.close()
     return pmap.map(

@@ -83,7 +83,7 @@ import time
 
 from repro.config import active_exec_config
 from repro.errors import ConfigurationError
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 
 #: Recognised fault kinds (each is a rate field of :class:`FaultPlan`).
 FAULT_KINDS = ("crash", "hang", "payload", "corrupt_cache",
@@ -276,7 +276,7 @@ def should_inject(kind: str, key: str,
             _OCCURRENCES[(kind, key)] = occurrence + 1
     fired = plan.fires(kind, key, occurrence)
     if fired:
-        EXEC_STATS.incr(f"faults.injected.{kind}")
+        METRICS.incr(f"faults.injected.{kind}")
     return fired
 
 

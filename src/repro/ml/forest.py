@@ -26,9 +26,9 @@ from repro.errors import (
 )
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap
-from repro.exec.stats import EXEC_STATS
 from repro.ml.base import Estimator, check_xy
 from repro.ml.tree import DecisionTreeClassifier, ForestTable
+from repro.obs.metrics import METRICS
 
 
 def _fit_tree_task(task: tuple[np.ndarray, int], *, x: np.ndarray,
@@ -112,7 +112,7 @@ class RandomForestClassifier(Estimator):
                         "max_features": self.max_features,
                     }})
             except (pickle.PicklingError, AttributeError, TypeError):
-                EXEC_STATS.incr("arena.build_fallback")
+                METRICS.incr("arena.build_fallback")
         self.trees_ = None
         if arena is not None:
             try:
@@ -122,7 +122,7 @@ class RandomForestClassifier(Estimator):
             except ArenaIntegrityError:
                 # Corrupt/injected-corrupt segment: fall back to
                 # pickled dispatch below — bit-identical, just slower.
-                EXEC_STATS.incr("arena.attach_fallback")
+                METRICS.incr("arena.attach_fallback")
             finally:
                 arena.close()
         if self.trees_ is None:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import KNOBS, ExecConfig
 from repro.errors import DatasetError
-from repro.exec import EXEC_STATS, ParallelMap, close_pools
+from repro.exec import ParallelMap, close_pools
 from repro.exec import parallel as parallel_mod
 from repro.obs import (METRICS, Metrics, from_chrome_trace, render_report,
                        to_chrome_trace, tracer)
@@ -29,7 +29,7 @@ def _double(i):
 
 
 def _bump_and_double(i):
-    EXEC_STATS.incr("obs_test.work")
+    METRICS.incr("obs_test.work")
     return i * 2
 
 
@@ -115,21 +115,21 @@ class TestMetrics:
         have recorded them."""
         close_pools()
         items = list(range(12))
-        serial_before = EXEC_STATS.count("obs_test.work")
+        serial_before = METRICS.count("obs_test.work")
         serial = ParallelMap(backend="serial").map(
             _bump_and_double, items, stage="obs_serial")
-        serial_delta = EXEC_STATS.count("obs_test.work") - serial_before
+        serial_delta = METRICS.count("obs_test.work") - serial_before
 
-        par_before = EXEC_STATS.count("obs_test.work")
-        merges_before = EXEC_STATS.count("obs.worker_merges")
+        par_before = METRICS.count("obs_test.work")
+        merges_before = METRICS.count("obs.worker_merges")
         par = ParallelMap(backend="process", n_workers=2,
                           chunk_size=3).map(
             _bump_and_double, items, stage="obs_process")
-        par_delta = EXEC_STATS.count("obs_test.work") - par_before
+        par_delta = METRICS.count("obs_test.work") - par_before
 
         assert par == serial
         assert par_delta == serial_delta == len(items)
-        assert EXEC_STATS.count("obs.worker_merges") > merges_before
+        assert METRICS.count("obs.worker_merges") > merges_before
         close_pools()
 
     def test_report_mentions_gauges_and_histograms(self):
@@ -338,10 +338,10 @@ class TestPoolGauge:
         monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=0,crash=1.0")
         pmap = ParallelMap(backend="process", n_workers=2,
                            chunk_size=3, retries=2)
-        degrades = EXEC_STATS.count("parallel.degrade_thread")
+        degrades = METRICS.count("parallel.degrade_thread")
         assert pmap.map(_double, range(10),
                         stage="obs_ladder") == [i * 2 for i in range(10)]
-        assert EXEC_STATS.count("parallel.degrade_thread") == degrades + 1
+        assert METRICS.count("parallel.degrade_thread") == degrades + 1
         monkeypatch.delenv("REPRO_FAULT_SPEC")
         close_pools()
         assert METRICS.gauge("parallel.pools_open") == 0
