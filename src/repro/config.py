@@ -210,16 +210,6 @@ class ExecConfig:
     trace_sample: int = _knob(
         8, "REPRO_TRACE_SAMPLE", _number(int, 1), None,
         "keep 1 in N spans once the tracer's buffer is half full")
-    surrogate: bool = _knob(
-        False, "REPRO_SURROGATE", _bool, "--surrogate",
-        "serve confident learned predictions above the interval tier")
-    surrogate_threshold: float = _knob(
-        0.02, "REPRO_SURROGATE_THRESHOLD", _POSITIVE, "--surrogate-threshold",
-        "accept pairs whose p95 relative CPI disagreement is under REL",
-        metavar="REL")
-    surrogate_probes: int = _knob(
-        32, "REPRO_SURROGATE_PROBES", _number(int, 8), "--surrogate-probes",
-        "probe traces that train and gate the surrogate", metavar="N")
     serve_batch_max: int = _knob(
         8, "REPRO_SERVE_BATCH_MAX", _number(int, 1), "--serve-batch-max",
         "micro-batch bound: flush at this many pending requests")

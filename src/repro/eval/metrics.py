@@ -60,10 +60,9 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation, dependency-free.
 
     Pearson correlation of average ranks (ties share their mean rank),
-    matching ``scipy.stats.spearmanr``. Used to validate one simulator
-    tier against the next (cycle vs interval in
-    ``benchmarks/bench_sim_validation.py``, interval vs surrogate in
-    the :mod:`repro.surrogate` agreement gate). Returns 0.0 when either
+    matching ``scipy.stats.spearmanr``. Used to validate the interval
+    simulator against the cycle model
+    (``benchmarks/bench_sim_validation.py``). Returns 0.0 when either
     input has zero rank variance.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -84,21 +83,6 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float((rx * ry).sum() / denom)
-
-
-def mean_relative_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean of ``|pred - true| / |true|``; the surrogate MRE gate."""
-    y_true = np.asarray(y_true, dtype=np.float64).ravel()
-    y_pred = np.asarray(y_pred, dtype=np.float64).ravel()
-    if y_true.shape != y_pred.shape:
-        raise DatasetError(
-            f"shape mismatch: {y_true.shape} vs {y_pred.shape}"
-        )
-    if y_true.size == 0:
-        raise DatasetError("mean_relative_error needs at least 1 sample")
-    if np.any(y_true == 0.0):
-        raise DatasetError("mean_relative_error undefined for zero truth")
-    return float(np.mean(np.abs(y_pred - y_true) / np.abs(y_true)))
 
 
 def _check(y_true: np.ndarray, y_pred: np.ndarray,

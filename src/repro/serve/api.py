@@ -137,14 +137,15 @@ class AdaptResponse:
 
     ``result`` is the digest-bearing adaptation payload
     (:func:`repro.serve.protocol.adapt_payload` — bit-identity
-    contract unchanged); ``tier`` names the simulation tier that
-    served it; ``model_generation`` the registry generation whose
-    model computed it.
+    contract unchanged); ``model_generation`` the registry generation
+    whose model computed it. ``tier`` is always ``"interval"``, the
+    only simulator the server runs; it stays on the schema-2 wire
+    until a schema bump drops it.
     """
 
     result: dict
-    tier: str
     model_generation: int
+    tier: str = "interval"
     schema_version: int = SCHEMA_VERSION
 
     def to_wire(self) -> dict:

@@ -8,7 +8,6 @@ from repro.errors import DatasetError
 from repro.eval.metrics import (
     effective_sla_window,
     expected_false_positive,
-    mean_relative_error,
     pgos,
     pooled_rsv,
     rsv,
@@ -134,19 +133,6 @@ class TestSpearman:
             spearman([1.0], [2.0])
         with pytest.raises(DatasetError):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-class TestMeanRelativeError:
-    def test_hand_value(self):
-        assert mean_relative_error([1.0, 2.0], [1.1, 1.8]) \
-            == pytest.approx(0.1)
-
-    def test_exact_prediction_is_zero(self):
-        assert mean_relative_error([2.0, 4.0], [2.0, 4.0]) == 0.0
-
-    def test_zero_truth_rejected(self):
-        with pytest.raises(DatasetError):
-            mean_relative_error([0.0, 1.0], [1.0, 1.0])
 
 
 class TestEffectiveWindow:

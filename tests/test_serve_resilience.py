@@ -17,6 +17,7 @@ import struct
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -34,7 +35,8 @@ from repro.serve import (MicroBatcher, ServeClient, adapt_payload,
 from repro.serve.admission import (DrainTracker, RETRY_AFTER_MAX_MS,
                                    RETRY_AFTER_MIN_MS, retry_after_ms)
 from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame
-from repro.serve.server import AdaptationServer, const_predictor
+from repro.serve.server import (AdaptationServer, build_server,
+                                const_predictor)
 from repro.serve.supervisor import (BatcherSupervisor,
                                     ServeCircuitBreaker, run_supervised)
 
@@ -383,16 +385,6 @@ class TestRetryHints:
 # ---------------------------------------------------------------------
 # Warm-state checkpoints.
 # ---------------------------------------------------------------------
-class _FakeTier:
-    """Stand-in surrogate tier: just the attributes load-time
-    re-attachment touches (model, threshold, n_probes)."""
-
-    def __init__(self, model) -> None:
-        self.model = model
-        self.threshold = 0.5
-        self.n_probes = 3
-
-
 class TestCheckpoint:
     FP = corpus_fingerprint("const", 2, 1, 48, 11)
 
@@ -472,22 +464,50 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path, self.FP)
 
-    def test_surrogate_tier_reattached_on_load(self, tmp_path):
-        path = str(tmp_path / "serve.ckpt")
+    def _save_naming_gone_class(self, path, monkeypatch):
+        """A CRC-valid checkpoint whose pickle names a class from a
+        module this build does not have."""
+        gone = types.ModuleType("repro_gone_module")
+        gone.GoneState = type("GoneState", (), {"__module__": gone.__name__})
         cpu, traces = self._state()
-        cpu.collector.model._surrogate = _FakeTier(cpu.collector.model)
-        save_checkpoint(path, cpu, traces, self.FP)
-        state = load_checkpoint(path, self.FP)
-        model = state["cpu"].collector.model
-        tier = model._surrogate
-        assert isinstance(tier, _FakeTier)
-        assert tier.model is model  # pointer surgery done
-        assert model._surrogate_config == (0.5, 3)
+        cpu.collector.model._gone = gone.GoneState()
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, gone.__name__, gone)
+            save_checkpoint(path, cpu, traces, self.FP)
+
+    def test_payload_naming_gone_class_rejected(self, tmp_path,
+                                                monkeypatch):
+        path = str(tmp_path / "serve.ckpt")
+        self._save_naming_gone_class(path, monkeypatch)
+        with pytest.raises(CheckpointError, match="does not unpickle"):
+            load_checkpoint(path, self.FP)
+
+    def test_unloadable_checkpoint_cold_builds(self, tmp_path,
+                                               monkeypatch):
+        path = str(tmp_path / "serve.ckpt")
+        self._save_naming_gone_class(path, monkeypatch)
+        rejected = METRICS.count("serve.checkpoint_rejected")
+        server = build_server(str(tmp_path / "s.sock"),
+                              predictor_kind="const", n_apps=2,
+                              workloads_per_app=1, intervals=48, seed=11,
+                              checkpoint_path=path)
+        try:
+            assert METRICS.count("serve.checkpoint_rejected") == rejected + 1
+            info = server.checkpoint_info
+            assert info["loaded"] is False
+            assert "does not unpickle" in info["rejected"]
+            cpu, traces = self._state()
+            assert (adapt_payload(server.cpu.run(server.traces[0]))
+                    == adapt_payload(cpu.run(traces[0])))
+            # The cold build rewrote a checkpoint this build can load.
+            load_checkpoint(path, self.FP)
+        finally:
+            server.shutdown()
 
     def test_unpicklable_state_is_typed(self, tmp_path):
         path = str(tmp_path / "serve.ckpt")
         cpu, traces = self._state()
-        cpu.collector.model._surrogate = lambda: None  # not picklable
+        cpu.collector.model._unpicklable = lambda: None
         with pytest.raises(CheckpointError,
                            match="not checkpointable"):
             save_checkpoint(path, cpu, traces, self.FP)
